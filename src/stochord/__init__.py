@@ -16,117 +16,90 @@ Layering, bottom up:
     bounds      exceedance bounds and the empirical plug-in interval
     oracle      scipy-only quadrature probes, deliberately independent
     cli         the `stochord` command
+
+Importing the package loads none of these.  Each public name below is
+resolved on first use from the submodule that defines it (PEP 562), so a
+caller pays only for the layers it touches: specfun, refdist, conditions
+and bounds need nothing but the standard library, while orderstat,
+ssverify and oracle bring in numpy and scipy.
 """
 
-from .bounds import (
-    BoundInterval,
-    ExceedanceBound,
-    PlugInInterval,
-    bound_table,
-    bound_table_csv,
-    ecdf_plugin_interval,
-    exceedance_bound,
-    exceedance_interval,
-    ll1_characterization_check,
-    p_value,
-)
-from .conditions import (
-    BoundaryCaseError,
-    OrderVerdict,
-    ShapeClass,
-    TransformKind,
-    UnsupportedClassError,
-    VerdictStatus,
-    check_icv,
-    check_icx,
-    check_mean_dominated_by_orderstat,
-    check_mean_dominates_orderstat,
-)
-from .orderstat import TransformedOrderStat, beta_orderstat_cdf, upper_partial_mean
-from .oracle import (
-    MCRecord,
-    OrderProbe,
-    mc_expectation,
-    probe_icv,
-    probe_icx,
-    probe_ss,
-    probe_st,
-)
-from .refdist import (
-    OrderStatSpec,
-    ReferenceDistribution,
-    SupportClampWarning,
-    cdf,
-    expected_transformed_orderstat,
-    quantile,
-)
-from .ssverify import (
-    CellClass,
-    RegionMap,
-    RootSet,
-    beta_kernel_roots,
-    check_ss_dda,
-    check_ss_dhra,
-    region_map_dda,
-    region_map_dhra,
-    ss_margin_dda,
-    ss_margin_dhra,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # refdist
-    "ReferenceDistribution",
-    "OrderStatSpec",
-    "SupportClampWarning",
-    "cdf",
-    "quantile",
-    "expected_transformed_orderstat",
-    # orderstat
-    "TransformedOrderStat",
-    "beta_orderstat_cdf",
-    "upper_partial_mean",
-    # conditions
-    "ShapeClass",
-    "TransformKind",
-    "VerdictStatus",
-    "OrderVerdict",
-    "UnsupportedClassError",
-    "BoundaryCaseError",
-    "check_icv",
-    "check_icx",
-    "check_mean_dominated_by_orderstat",
-    "check_mean_dominates_orderstat",
-    # ssverify
-    "RootSet",
-    "CellClass",
-    "RegionMap",
-    "beta_kernel_roots",
-    "ss_margin_dda",
-    "ss_margin_dhra",
-    "check_ss_dda",
-    "check_ss_dhra",
-    "region_map_dda",
-    "region_map_dhra",
-    # bounds
-    "ExceedanceBound",
-    "BoundInterval",
-    "PlugInInterval",
-    "p_value",
-    "exceedance_bound",
-    "exceedance_interval",
-    "bound_table",
-    "bound_table_csv",
-    "ll1_characterization_check",
-    "ecdf_plugin_interval",
-    # oracle
-    "OrderProbe",
-    "MCRecord",
-    "probe_st",
-    "probe_ss",
-    "probe_icv",
-    "probe_icx",
-    "mc_expectation",
-]
+# Defining submodule -> the public names it contributes to the package.
+_EXPORTS = {
+    "refdist": (
+        "ReferenceDistribution",
+        "OrderStatSpec",
+        "SupportClampWarning",
+        "cdf",
+        "quantile",
+        "expected_transformed_orderstat",
+    ),
+    "orderstat": ("TransformedOrderStat", "beta_orderstat_cdf", "upper_partial_mean"),
+    "conditions": (
+        "ShapeClass",
+        "TransformKind",
+        "VerdictStatus",
+        "OrderVerdict",
+        "UnsupportedClassError",
+        "BoundaryCaseError",
+        "check_icv",
+        "check_icx",
+        "check_mean_dominated_by_orderstat",
+        "check_mean_dominates_orderstat",
+    ),
+    "ssverify": (
+        "RootSet",
+        "CellClass",
+        "RegionMap",
+        "beta_kernel_roots",
+        "ss_margin_dda",
+        "ss_margin_dhra",
+        "check_ss_dda",
+        "check_ss_dhra",
+        "region_map_dda",
+        "region_map_dhra",
+    ),
+    "bounds": (
+        "ExceedanceBound",
+        "BoundInterval",
+        "PlugInInterval",
+        "p_value",
+        "exceedance_bound",
+        "exceedance_interval",
+        "bound_table",
+        "bound_table_csv",
+        "ll1_characterization_check",
+        "ecdf_plugin_interval",
+    ),
+    "oracle": (
+        "OrderProbe",
+        "MCRecord",
+        "probe_st",
+        "probe_ss",
+        "probe_icv",
+        "probe_icx",
+        "mc_expectation",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({"specfun", *_EXPORTS, "cli"})
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace: each lookup reads the submodule's
+    # current binding, so a function replaced there is seen here too.
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -70,11 +70,16 @@ def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
         neg. exponential    exp(-sum_{k=i}^n 1/k)
         neg. log-logistic   (i-1)/n
     """
-    i, n = s.i, s.n
+    return _p_value(dist, s.i, s.n, lambda lo: harmonic_sum(lo, s.n))
+
+
+def _p_value(dist: ReferenceDistribution, i: int, n: int, tail) -> float:
+    # p_value's formulas; tail(lo) is sum_{k=lo}^{n} 1/k, one harmonic_sum per
+    # entry for p_value, a lookup in _harmonic_tails(n) for bound_table.
     if dist is ReferenceDistribution.UNIFORM:
         return i / (n + 1.0)
     if dist is ReferenceDistribution.EXPONENTIAL:
-        return -math.expm1(-harmonic_sum(n - i + 1, n))
+        return -math.expm1(-tail(n - i + 1))
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         return i / float(n)
     if dist is ReferenceDistribution.LOGISTIC:
@@ -84,7 +89,7 @@ def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
         e = math.exp(d)
         return e / (1.0 + e)
     if dist is ReferenceDistribution.NEG_EXPONENTIAL:
-        return math.exp(-harmonic_sum(i, n))
+        return math.exp(-tail(i))
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
         return (i - 1) / float(n)
     raise ValueError(f"no exceedance bound for reference {dist!r}")
@@ -202,13 +207,38 @@ def bound_table(
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"bound_table needs integer n >= 1, got {n!r}")
     refs = _DEFAULT_TABLE_REFS if references is None else tuple(references)
+    tail = _harmonic_tails(n).__getitem__
     return [
-        (
-            _ROW_LABELS[dist],
-            tuple(p_value(dist, OrderStatSpec(i, n)) for i in range(1, n + 1)),
-        )
+        (_ROW_LABELS[dist], tuple(_p_value(dist, i, n, tail) for i in range(1, n + 1)))
         for dist in refs
     ]
+
+
+def _harmonic_tails(n: int) -> list[float]:
+    """T with T[lo] = harmonic_sum(lo, n) for lo = 1..n, in O(n) (T[0] unused).
+
+    One downward pass adds 1/k for k = n..1 into a running list of Shewchuk
+    partials, whose exact sum is that of the terms added so far; math.fsum
+    rounds that sum correctly.  harmonic_sum(lo, n) is the correctly rounded
+    sum of the same float terms, so each T[lo] equals it bit for bit.
+    """
+    tails = [0.0] * (n + 1)
+    partials: list[float] = []
+    for k in range(n, 0, -1):
+        x = 1.0 / k
+        used = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[used] = lo
+                used += 1
+            x = hi
+        partials[used:] = [x]
+        tails[k] = math.fsum(partials)
+    return tails
 
 
 def bound_table_csv(

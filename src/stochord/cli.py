@@ -11,6 +11,15 @@ Exit codes follow a sysexits-flavoured convention:
 All file outputs are written atomically (temp file + rename) with LF line
 endings, and payloads are deterministic: the same resolved RunConfig yields
 byte-identical bytes, so outputs can be committed as goldens.
+
+Only the subcommands that need scipy load it.  `compare` on a non-star class,
+`bounds-table` and `data-interval` are closed forms over the standard library
+(conditions, bounds, refdist, specfun), so they start without numpy or scipy.
+`compare` on DDA/DHRA, `region` and `verify-ss` import ssverify, whose partial
+means use scipy's quadrature; `probe` imports the oracle, which is built on
+scipy by design.  Those modules are imported inside the commands, and their
+functions are looked up on the module at call time, so a function replaced on
+its module (as a tracing harness does) is the one that runs.
 """
 
 from __future__ import annotations
@@ -30,10 +39,7 @@ from .conditions import (
     check_icv,
     check_icx,
 )
-from .orderstat import TransformedOrderStat
-from .oracle import probe_icv, probe_icx, probe_ss, probe_st
 from .refdist import OrderStatSpec, ReferenceDistribution
-from .ssverify import check_ss_dda, check_ss_dhra, region_map_dda, region_map_dhra
 
 __all__ = ["main", "cli", "CliUsageError", "RunConfig"]
 
@@ -161,10 +167,13 @@ def compare(class_name: str, a_text: str, b_text: str, order: str, json_path) ->
         verdict = check_icv(shape, a, b)
     elif order == "icx":
         verdict = check_icx(shape, a, b)
-    elif shape.reference is ReferenceDistribution.UNIFORM:
-        verdict = check_ss_dda(a, b)
     else:
-        verdict = check_ss_dhra(a, b)
+        from . import ssverify
+
+        if shape.reference is ReferenceDistribution.UNIFORM:
+            verdict = ssverify.check_ss_dda(a, b)
+        else:
+            verdict = ssverify.check_ss_dhra(a, b)
     click.echo(
         f"order={verdict.order} status={verdict.status.value} "
         f"lhs={_fmt(verdict.lhs_witness)} rhs={_fmt(verdict.rhs_witness)} "
@@ -202,7 +211,12 @@ def region(class_name: str, n: int, m: int, csv_path, json_path) -> int:
     NeedsCheck_Fail.  CSV goes to stdout unless --csv/--json redirect it."""
     if n > m:
         raise CliUsageError(f"region map needs n <= m, got n={n} m={m}")
-    rmap = (region_map_dda if class_name.upper() == "DDA" else region_map_dhra)(n, m)
+    from . import ssverify
+
+    if class_name.upper() == "DDA":
+        rmap = ssverify.region_map_dda(n, m)
+    else:
+        rmap = ssverify.region_map_dhra(n, m)
     csv_text = rmap.to_csv()
     if csv_path:
         _write_atomic(csv_path, csv_text)
@@ -241,7 +255,9 @@ def verify_ss(frame: str, a_text: str, b_text: str, json_path) -> int:
     Exit 0 when the criterion function stays nonnegative, 2 otherwise."""
     a = _parse_spec(a_text, "--a")
     b = _parse_spec(b_text, "--b")
-    check = check_ss_dda if frame.upper() == "DDA" else check_ss_dhra
+    from . import ssverify
+
+    check = ssverify.check_ss_dda if frame.upper() == "DDA" else ssverify.check_ss_dhra
     verdict = check(a, b)
     click.echo(
         f"frame={frame.upper()} status={verdict.status.value} "
@@ -333,11 +349,26 @@ def _read_data_file(path: str) -> list[float]:
     return values
 
 
-_PROBES = {"st": probe_st, "ss": probe_ss, "icv": probe_icv, "icx": probe_icx}
+_PROBE_ORDERS = ("icv", "icx", "ss", "st")
+
+
+def _probes() -> dict:
+    """Order name -> oracle probe function, as the oracle binds it now."""
+    from . import oracle
+
+    return {order: getattr(oracle, f"probe_{order}") for order in _PROBE_ORDERS}
+
+
+def __getattr__(name: str):
+    # `_PROBES`, the probe dispatch table, is built on lookup: importing the
+    # CLI must not import the oracle, and with it scipy.
+    if name == "_PROBES":
+        return _probes()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @cli.command()
-@click.option("--order", required=True, type=click.Choice(sorted(_PROBES)),
+@click.option("--order", required=True, type=click.Choice(_PROBE_ORDERS),
               help="Which integral characterisation to test.")
 @click.option("--reference", required=True, metavar="REF",
               help="Common reference distribution (uniform, exponential, "
@@ -356,8 +387,10 @@ def probe(order: str, reference: str, a_text: str, b_text: str,
     dist = _parse_reference(reference)
     a = _parse_spec(a_text, "--a")
     b = _parse_spec(b_text, "--b")
+    from .orderstat import TransformedOrderStat
+
     try:
-        result = _PROBES[order](
+        result = _probes()[order](
             TransformedOrderStat(dist, a), TransformedOrderStat(dist, b),
             grid_size=grid_size, tol=tol,
         )

@@ -63,7 +63,7 @@ def _ref_cdf(dist: ReferenceDistribution, t: float) -> float:
     if dist is ReferenceDistribution.EXPONENTIAL:
         return 0.0 if t <= 0.0 else -math.expm1(-t)
     if dist is ReferenceDistribution.LOGISTIC:
-        return float(stats.logistic.cdf(t))
+        return float(special.expit(t))
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         return 0.0 if t <= 0.0 else t / (1.0 + t)
     if dist is ReferenceDistribution.NEG_EXPONENTIAL:
@@ -80,7 +80,7 @@ def _ref_quantile(dist: ReferenceDistribution, p) -> np.ndarray:
     if dist is ReferenceDistribution.EXPONENTIAL:
         return -np.log1p(-p)
     if dist is ReferenceDistribution.LOGISTIC:
-        return np.asarray(stats.logistic.ppf(p))
+        return np.asarray(special.logit(p))
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         with np.errstate(divide="ignore"):
             return p / (1.0 - p)

@@ -1,6 +1,7 @@
 """Exceedance-probability bounds, the bound table, and the ECDF plug-in."""
 
 import math
+from array import array
 
 import pytest
 
@@ -74,6 +75,15 @@ def test_bound_table_custom_references():
     rows = bound_table(4, (R.LOGISTIC, R.NEG_LOG_LOGISTIC_1))
     assert [label for label, _ in rows] == ["L", "LL-"]
     assert rows[1][1] == (0.0, 0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 997, 3000])
+def test_bound_table_equals_p_value_bitwise(n):
+    """The table's O(n) harmonic tails give exactly the per-entry p_value."""
+    refs = tuple(R)
+    for dist, (_, row) in zip(refs, bound_table(n, refs)):
+        want = [p_value(dist, S(i, n)) for i in range(1, n + 1)]
+        assert array("d", row).tobytes() == array("d", want).tobytes(), dist
 
 
 def test_bound_table_csv_matches_golden(golden_dir):

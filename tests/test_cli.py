@@ -1,12 +1,27 @@
 """CLI exit codes, stdout contracts, and JSON output determinism."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stochord
 from stochord.cli import main
+
+_SRC = str(Path(stochord.__file__).resolve().parent.parent)
+_HEAVY = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports stochord from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
 
 
 def test_compare_holds_exits_zero(capsys):
@@ -200,3 +215,40 @@ def test_version_via_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "stochord, version 0.1.0"
+
+
+def test_importing_the_cli_loads_no_numpy_or_scipy():
+    proc = _python(f"import sys, stochord.cli; print({_HEAVY})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--class", "IHR", "--a", "3,5", "--b", "2,4"],
+    ["compare", "--class", "DROR", "--a", "2,5", "--b", "3,4"],
+    ["bounds-table", "-n", "200"],
+    ["data-interval", "--data", "CARBON", "--spec", "20,100",
+     "--lower-class", "DRHR", "--upper-class", "IOR"],
+])
+def test_closed_form_commands_load_no_numpy_or_scipy(argv, data_dir):
+    argv = [str(data_dir / "carbon_fibers.csv") if a == "CARBON" else a for a in argv]
+    proc = _python("import sys; from stochord.cli import main; "
+                   f"rc = main({argv!r}); print(rc, {_HEAVY})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] in ("0 []", "2 []")
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    assert len(set(stochord.__all__)) == len(stochord.__all__)
+    assert set(stochord.__all__) <= set(dir(stochord))
+    for name in stochord.__all__:
+        value = getattr(stochord, name)
+        if name == "__version__":
+            assert value == "0.1.0"
+            continue
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("stochord.")
+        assert name in home.__all__, name
+        assert value is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        stochord.no_such_name  # noqa: B018

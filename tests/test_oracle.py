@@ -11,6 +11,8 @@ from stochord.oracle import (
     _QUAD_KW,
     _integrand,
     _lower_partial,
+    _ref_cdf,
+    _ref_quantile,
     _run_probe,
     _upper_partial,
     mc_expectation,
@@ -145,6 +147,17 @@ def test_integrand_at_domain_edges_matches_scipy_form(dist, i):
         assert got == want or (math.isnan(got) and math.isnan(want)), (u, got, want)
     for u in (1e-9, 0.25, 0.5, 0.6, 1.0 - 1e-9):
         assert f(u) == pytest.approx(ref(u), rel=1e-13, abs=0.0)
+
+
+def test_logistic_cdf_and_quantile_match_scipy_stats_bitwise():
+    rng = np.random.default_rng(20)
+    ts = np.concatenate([rng.normal(0.0, 30.0, 2000),
+                         [0.0, -0.0, 1e-300, -745.0, 710.0, -800.0, 800.0]])
+    got = np.array([_ref_cdf(R.LOGISTIC, float(t)) for t in ts])
+    assert got.tobytes() == stats.logistic.cdf(ts).tobytes()
+    ps = np.concatenate([rng.random(20000),
+                         [0.0, 1.0, 1e-300, 0.3, 0.5, 0.65, 1.0 - 2.0**-53]])
+    assert _ref_quantile(R.LOGISTIC, ps).tobytes() == stats.logistic.ppf(ps).tobytes()
 
 
 def test_nan_margin_fails_the_probe():
