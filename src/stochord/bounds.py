@@ -23,6 +23,7 @@ from .conditions import ShapeClass, UnsupportedClassError
 from .refdist import (
     OrderStatSpec,
     ReferenceDistribution,
+    cdf,
     expected_transformed_orderstat,
     quantile,
 )
@@ -83,11 +84,7 @@ def _p_value(dist: ReferenceDistribution, i: int, n: int, tail) -> float:
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         return i / float(n)
     if dist is ReferenceDistribution.LOGISTIC:
-        d = digamma(i) - digamma(n - i + 1)
-        if d >= 0.0:
-            return 1.0 / (1.0 + math.exp(-d))
-        e = math.exp(d)
-        return e / (1.0 + e)
+        return cdf(dist, digamma(i) - digamma(n - i + 1))
     if dist is ReferenceDistribution.NEG_EXPONENTIAL:
         return math.exp(-tail(i))
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:

@@ -12,14 +12,18 @@ All file outputs are written atomically (temp file + rename) with LF line
 endings, and payloads are deterministic: the same resolved RunConfig yields
 byte-identical bytes, so outputs can be committed as goldens.
 
-Only the subcommands that need scipy load it.  `compare` on a non-star class,
-`bounds-table` and `data-interval` are closed forms over the standard library
-(conditions, bounds, refdist, specfun), so they start without numpy or scipy.
-`compare` on DDA/DHRA, `region` and `verify-ss` import ssverify, whose partial
-means use scipy's quadrature; `probe` imports the oracle, which is built on
-scipy by design.  Those modules are imported inside the commands, and their
-functions are looked up on the module at call time, so a function replaced on
-its module (as a tracing harness does) is the one that runs.
+Only the subcommands that need scipy load it: DHRA verdicts and `probe`.
+`compare` on a non-star class, `bounds-table` and `data-interval` are closed
+forms over the standard library (conditions, bounds, refdist, specfun), and
+DDA verdicts (`compare --class DDA`, `region --class DDA`, `verify-ss --frame
+DDA`) evaluate ssverify's criterion at the kernel roots with the same
+special functions, so none of them imports numpy or scipy.  ssverify loads
+numpy for its DHRA sign grid and orderstat (scipy's quadrature) for its
+DHRA fallback only when a DHRA verdict runs; `probe` imports the oracle,
+which is built on scipy by design.  Those modules are imported inside the
+commands, and their functions are looked up on the module at call time, so
+a function replaced on its module (as a tracing harness does) is the one
+that runs.
 """
 
 from __future__ import annotations

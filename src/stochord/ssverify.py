@@ -7,15 +7,26 @@ star-shaped order whenever the criterion function
     Z(x) = E[W_a 1{W_a > x}] - E[W_b 1{W_b > x}]
 
 is nonnegative everywhere, with W the beta order statistic itself (DDA) or
-its exponential-quantile transform (DHRA).  Z is differentiable and its
-interior critical points solve a two-parameter power equation
-x^a (1-x)^b = c, so the check reduces to a handful of root evaluations;
-a dense sign grid double-checks that no dip was missed.
+its exponential-quantile transform (DHRA); this is the partial-mean form of
+the ss order (Shaked & Shanthikumar, Stochastic Orders, 2007, ch. 4.B).
 
-The root-target constant is B(i,n-i+1)/B(j,m-j+1).  A plausible alternative
-derivation lands on the shifted constant B(i+1,n-i+1)/B(j+1,m-j+1), and
-extra candidate points are harmless, so the checker evaluates Z on the
-union of both root sets; the dense grid then backstops either reading.
+Because d/dx E[W 1{W > x}] = -x f_W(x), Z'(x) = -x (f_a(x) - f_b(x)): Z has
+interior extrema only where the two densities cross.  For B_{i:n} against
+B_{j:m} those are the roots in (0, 1) of the kernel equation
+
+    x^(i-j) (1-x)^((n-i)-(m-j)) = B(i, n-i+1) / B(j, m-j+1),
+
+taken at r = 1 - e^-x in the exponential frame.  The minimum of Z is
+therefore attained at an endpoint or at a kernel root, and the uniform
+frame decides its verdict from those few points alone.  The solver takes
+the constant as its logarithm, a difference of log-betas, which stays
+finite where the ratio itself overflows or underflows.
+
+The exponential frame still pairs its roots with a sign grid.  There Z
+comes from an alternating binomial series, trusted only below an estimated
+condition number, with adaptive quadrature as its fallback; the grid is the
+cross-check on those evaluations until a closed form with positive terms
+only replaces the series.
 """
 
 from __future__ import annotations
@@ -24,11 +35,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .conditions import OrderVerdict, VerdictStatus
-from .orderstat import TransformedOrderStat, upper_partial_mean
-from .refdist import OrderStatSpec, ReferenceDistribution
+from .refdist import OrderStatSpec, ReferenceDistribution, cdf
 from .specfun import harmonic_sum, log_beta, reg_inc_beta
 
 __all__ = [
@@ -57,28 +65,21 @@ def _log_sigmoid(s: float) -> float:
     return s - math.log1p(math.exp(s))
 
 
-def _sigmoid(s: float) -> float:
-    if s >= 0.0:
-        return 1.0 / (1.0 + math.exp(-s))
-    e = math.exp(s)
-    return e / (1.0 + e)
-
-
 @dataclass(frozen=True, slots=True)
 class RootSet:
-    """Solutions of x^a (1-x)^b = c in (0, 1), with solver diagnostics."""
+    """Solutions of x^a (1-x)^b = e^log_c in (0, 1), with solver diagnostics."""
 
     a: float
     b: float
-    c: float
+    log_c: float
     regime: str                      # "monotone" (ab <= 0) or "unimodal" (ab > 0)
     roots: tuple[float, ...]         # ascending
     stationary_point: float | None   # a/(a+b) when ab > 0
-    log_residuals: tuple[float, ...] # a ln r + b ln(1-r) - ln c at each root
+    log_residuals: tuple[float, ...] # a ln r + b ln(1-r) - log_c at each root
 
 
-def beta_kernel_roots(a: float, b: float, c: float, *, xtol: float = 1e-13) -> RootSet:
-    """All roots of x^a (1-x)^b = c on (0, 1).
+def beta_kernel_roots(a: float, b: float, log_c: float) -> RootSet:
+    """All roots of x^a (1-x)^b = c on (0, 1), given log_c = ln c.
 
     Solved in log-odds coordinates s = ln(x/(1-x)) so roots close to either
     endpoint keep relative accuracy; bisection brackets each root and a few
@@ -88,15 +89,14 @@ def beta_kernel_roots(a: float, b: float, c: float, *, xtol: float = 1e-13) -> R
     """
     if a == 0.0 and b == 0.0:
         raise ValueError("beta_kernel_roots needs (a, b) != (0, 0)")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"beta_kernel_roots needs finite c > 0, got {c}")
-    log_c = math.log(c)
+    if not math.isfinite(log_c):
+        raise ValueError(f"beta_kernel_roots needs a finite ln c, got {log_c}")
 
     def g(s: float) -> float:
         return a * _log_sigmoid(s) + b * _log_sigmoid(-s) - log_c
 
     def g_prime(s: float) -> float:
-        x = _sigmoid(s)
+        x = cdf(ReferenceDistribution.LOGISTIC, s)
         return a * (1.0 - x) - b * x
 
     def refine(lo: float, hi: float) -> float:
@@ -145,19 +145,27 @@ def beta_kernel_roots(a: float, b: float, c: float, *, xtol: float = 1e-13) -> R
         if g(-_S_BOUND) * g(_S_BOUND) < 0.0:
             s_roots.append(refine(-_S_BOUND, _S_BOUND))
 
-    s_roots.sort()  # _sigmoid is increasing, so x-order matches s-order
-    roots = tuple(_sigmoid(s) for s in s_roots)
+    s_roots.sort()  # the logistic cdf is increasing: x-order matches s-order
+    roots = tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in s_roots)
     # residuals evaluated in log-odds coordinates: log1p(-x) at an x rounded
     # to double loses ~|b| * eps / (1-x), which swamps the true residual for
     # roots pinned against an endpoint
     residuals = tuple(g(s) for s in s_roots)
-    return RootSet(a=a, b=b, c=c, regime=regime, roots=roots,
+    return RootSet(a=a, b=b, log_c=log_c, regime=regime, roots=roots,
                    stationary_point=stationary, log_residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
 # uniform frame (DDA)
 # ---------------------------------------------------------------------------
+
+def _upper_tail(x: float, p: float, q: float) -> float:
+    # 1 - I_x(p, q); past the mean, I_{1-x}(q, p) keeps the small tail's
+    # relative accuracy where 1 - I_x would round it against 1
+    if x > p / (p + q):
+        return reg_inc_beta(1.0 - x, q, p)
+    return 1.0 - reg_inc_beta(x, p, q)
+
 
 def ss_margin_dda(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
     """Z(x) = upper partial mean of B_{i:n} minus that of B_{j:m} at x.
@@ -166,98 +174,38 @@ def ss_margin_dda(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"ss_margin_dda needs x in [0, 1], got {x}")
-    ta = a.i / (a.n + 1.0) * (1.0 - reg_inc_beta(x, a.i + 1.0, a.n - a.i + 1.0))
-    tb = b.i / (b.n + 1.0) * (1.0 - reg_inc_beta(x, b.i + 1.0, b.n - b.i + 1.0))
+    ta = a.i / (a.n + 1.0) * _upper_tail(x, a.i + 1.0, a.n - a.i + 1.0)
+    tb = b.i / (b.n + 1.0) * _upper_tail(x, b.i + 1.0, b.n - b.i + 1.0)
     return ta - tb
 
 
-def _binomial_tail_grid(s: OrderStatSpec, xs: np.ndarray) -> np.ndarray:
-    """1 - I_x(i+1, n-i+1) on a grid = P(Bin(n+1, x) <= i), all terms positive.
-
-    Independent of the continued-fraction path on purpose: the grid is the
-    cross-check net for the root-based evaluation.
-    """
-    i, n = s.i, s.n
-    npts = n + 1
-    with np.errstate(divide="ignore"):
-        log_x = np.log(xs)
-        log_1mx = np.log1p(-xs)
-    out = np.zeros_like(xs)
-    for k in range(i + 1):
-        log_comb = (math.lgamma(npts + 1) - math.lgamma(k + 1) - math.lgamma(npts - k + 1))
-        with np.errstate(invalid="ignore"):
-            term = np.exp(log_comb + k * log_x + (npts - k) * log_1mx)
-        if k == 0:
-            term = np.where(xs == 0.0, 1.0, term)
-        term = np.where(xs == 1.0, 0.0, term)
-        out += term
-    return out
-
-
-def _dda_grid_values(a: OrderStatSpec, b: OrderStatSpec, xs: np.ndarray) -> np.ndarray:
-    return (a.i / (a.n + 1.0)) * _binomial_tail_grid(a, xs) - (
-        b.i / (b.n + 1.0)
-    ) * _binomial_tail_grid(b, xs)
-
-
-def _grid_minimum(values_fn, lo: float, hi: float, n_points: int) -> tuple[float, float]:
-    """Minimum of a vectorized function on [lo, hi], refining tenfold around
-    sign changes.  Returns (min value, argmin)."""
-    xs = np.linspace(lo, hi, n_points)
-    zs = values_fn(xs)
-    signs = np.sign(zs)
-    flip_idx = np.nonzero(signs[1:] * signs[:-1] < 0)[0]
-    if flip_idx.size:
-        extra = np.concatenate(
-            [np.linspace(xs[k], xs[k + 1], 12)[1:-1] for k in flip_idx]
-        )
-        xs = np.concatenate([xs, extra])
-        zs = np.concatenate([zs, values_fn(extra)])
-    k = int(np.argmin(zs))
-    return float(zs[k]), float(xs[k])
-
-
-def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> list[float]:
-    """Union of root sets for both candidate critical-point constants."""
+def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, ...]:
+    """Crossings of the beta densities of a and b in (0, 1), ascending."""
     exp_a = a.i - b.i
     exp_b = (a.n - a.i) - (b.n - b.i)
     if exp_a == 0 and exp_b == 0:
-        return []
-    out: list[float] = []
-    for c in (
-        math.exp(log_beta(a.alpha, a.beta) - log_beta(b.alpha, b.beta)),
-        math.exp(log_beta(a.alpha + 1, a.beta) - log_beta(b.alpha + 1, b.beta)),
-    ):
-        out.extend(beta_kernel_roots(float(exp_a), float(exp_b), c).roots)
-    out.sort()
-    dedup: list[float] = []
-    for r in out:
-        if not dedup or r - dedup[-1] > 1e-12:
-            dedup.append(r)
-    return dedup
+        return ()
+    log_c = log_beta(a.alpha, a.beta) - log_beta(b.alpha, b.beta)
+    return beta_kernel_roots(float(exp_a), float(exp_b), log_c).roots
 
 
 def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     """Decide Z >= 0 on [0, 1] for the uniform frame.
 
-    Evaluates Z at the endpoints and at every candidate interior critical
-    point, then takes the minimum jointly with a 10^4-point sign grid.  A
-    negative minimum is a genuine refutation of B_{i:n} >=_ss B_{j:m} (the
-    criterion is two-sided for the beta variables themselves), but the
-    verdict stays in Holds/Undetermined vocabulary because for a general
-    DDA parent only the positive direction transfers.
+    Evaluates Z at the endpoints and at every kernel root, which together
+    hold the minimum of Z.  A negative minimum is a genuine refutation of
+    B_{i:n} >=_ss B_{j:m} (the criterion is two-sided for the beta
+    variables themselves), but the verdict stays in Holds/Undetermined
+    vocabulary because for a general DDA parent only the positive direction
+    transfers.
     """
     if a == b:
         return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
                             "DDA: identical specs, Z == 0")
-    candidates = [0.0, 1.0] + _critical_candidates(a, b)
+    candidates = [0.0, 1.0, *_critical_candidates(a, b)]
     vals = [ss_margin_dda(a, b, x) for x in candidates]
-    cand_min = min(vals)
-    cand_arg = candidates[vals.index(cand_min)]
-    grid_min, grid_arg = _grid_minimum(
-        lambda xs: _dda_grid_values(a, b, xs), 0.0, 1.0, _GRID_POINTS
-    )
-    z_min, z_arg = (cand_min, cand_arg) if cand_min <= grid_min else (grid_min, grid_arg)
+    z_min = min(vals)
+    z_arg = candidates[vals.index(z_min)]
     status = VerdictStatus.HOLDS if z_min >= -_HOLDS_TOL else VerdictStatus.UNDETERMINED
     return OrderVerdict(
         "ss", status, z_min, 0.0,
@@ -297,6 +245,10 @@ def _exp_tail_series(s: OrderStatSpec, x: float) -> tuple[float, float]:
 
 
 def _exp_tail_quad(s: OrderStatSpec, x: float) -> float:
+    # imported here, not at the top: orderstat loads scipy's quadrature,
+    # which only this fallback needs
+    from .orderstat import TransformedOrderStat, upper_partial_mean
+
     return upper_partial_mean(
         TransformedOrderStat(ReferenceDistribution.EXPONENTIAL, s), x
     )
@@ -360,6 +312,8 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 
 
 def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float]:
+    import numpy as np  # here, not at the top: the uniform frame needs no numpy
+
     # Probe the series conditioning first; badly conditioned pairs get a
     # coarser all-quadrature grid instead.
     probe_cond = max(

@@ -279,7 +279,7 @@ def test_accept_8_root_counts():
         if a * b > 0 and abs(x0 - a / (a + b)) < 0.05:
             continue  # too close to a tangency, ill posed for any method
         c = x0**a * (1.0 - x0) ** b
-        rs = beta_kernel_roots(a, b, c)
+        rs = beta_kernel_roots(a, b, math.log(c))
         if any(r < 0.002 or r > 0.998 for r in rs.roots):
             continue  # outside what the fixed scan can resolve
         if len(rs.roots) == 2 and rs.roots[1] - rs.roots[0] < 0.004:

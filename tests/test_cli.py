@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import stochord
 from stochord.cli import main
 
 _SRC = str(Path(stochord.__file__).resolve().parent.parent)
+_ROOT = Path(__file__).resolve().parent.parent
 _HEAVY = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
 
 
@@ -139,6 +141,24 @@ def test_verify_ss_exit_codes(capsys):
     assert "inf_z=" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-ss", "--frame", "DDA", "--a", "1,2", "--b", "600,1200"],
+    ["verify-ss", "--frame", "DDA", "--a", "1,1", "--b", "1000,2000"],
+    ["verify-ss", "--frame", "DDA", "--a", "1000,2000", "--b", "1,1"],
+    ["compare", "--class", "DDA", "--a", "1,2", "--b", "600,1200"],
+    ["region", "--class", "DDA", "-n", "1", "-m", "2000"],
+])
+def test_dda_answers_where_the_kernel_constant_leaves_double_range(argv, capsys):
+    # |ln B(i,n-i+1) - ln B(j,m-j+1)| > 709, where exp over- or underflows,
+    # for each pair here and for the middle band cells of the map
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc in (0, 2), captured.err
+    assert captured.err == ""
+    if argv[0] == "region":
+        assert len(captured.out.splitlines()) == 1 + 2000
+
+
 def test_data_interval_carbon(data_dir, tmp_path, capsys):
     csv = str(data_dir / "carbon_fibers.csv")
     rc = main(["data-interval", "--data", csv, "--spec", "20,100",
@@ -229,6 +249,9 @@ def test_importing_the_cli_loads_no_numpy_or_scipy():
     ["bounds-table", "-n", "200"],
     ["data-interval", "--data", "CARBON", "--spec", "20,100",
      "--lower-class", "DRHR", "--upper-class", "IOR"],
+    ["verify-ss", "--frame", "DDA", "--a", "2,3", "--b", "3,5"],
+    ["compare", "--class", "DDA", "--a", "2,3", "--b", "3,5"],
+    ["region", "--class", "DDA", "-n", "5", "-m", "8"],
 ])
 def test_closed_form_commands_load_no_numpy_or_scipy(argv, data_dir):
     argv = [str(data_dir / "carbon_fibers.csv") if a == "CARBON" else a for a in argv]
@@ -252,3 +275,41 @@ def test_package_exports_resolve_to_their_defining_modules():
         assert value is getattr(home, name), name
     with pytest.raises(AttributeError):
         stochord.no_such_name  # noqa: B018
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of every `$ stochord ...` example in README.md that
+    shows its output; a trailing backslash continues the command."""
+    lines = (_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    examples = []
+    k = 0
+    while k < len(lines):
+        command, k = lines[k], k + 1
+        if not command.startswith("$ stochord "):
+            continue
+        while command.endswith("\\"):
+            command, k = command[:-1] + " " + lines[k], k + 1
+        output = []
+        while k < len(lines) and lines[k] and not lines[k].startswith(("$ ", "```")):
+            output.append(lines[k] + "\n")
+            k += 1
+        if output:
+            examples.append((shlex.split(command)[2:], "".join(output)))
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_all_collected():
+    assert [argv[0] for argv, _ in _README_EXAMPLES] == [
+        "compare", "verify-ss", "data-interval", "probe"]
+
+
+@pytest.mark.parametrize("argv, stdout", _README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in _README_EXAMPLES])
+def test_readme_example_output_is_byte_exact(argv, stdout, capsys, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    rc = main(argv)
+    assert capsys.readouterr().out == stdout
+    assert rc in (0, 2)

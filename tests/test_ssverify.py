@@ -30,7 +30,7 @@ S = OrderStatSpec
 
 
 def test_roots_symmetric_two_root_case():
-    rs = beta_kernel_roots(1.0, 1.0, 0.1875)
+    rs = beta_kernel_roots(1.0, 1.0, math.log(0.1875))
     assert rs.regime == "unimodal"
     assert len(rs.roots) == 2
     assert rs.roots[0] == pytest.approx(0.25, abs=1e-12)
@@ -38,19 +38,19 @@ def test_roots_symmetric_two_root_case():
 
 
 def test_roots_tangency_collapses_to_one():
-    rs = beta_kernel_roots(1.0, 1.0, 0.25)
+    rs = beta_kernel_roots(1.0, 1.0, math.log(0.25))
     assert rs.roots == (0.5,)
     assert rs.stationary_point == pytest.approx(0.5)
 
 
 def test_roots_no_crossing():
-    rs = beta_kernel_roots(1.0, 1.0, 0.3)
+    rs = beta_kernel_roots(1.0, 1.0, math.log(0.3))
     assert rs.roots == ()
 
 
 def test_roots_monotone_regime():
     # T(x) = x (1-x)^{-1} is increasing from 0 to inf: one root always
-    rs = beta_kernel_roots(1.0, -1.0, 3.0)
+    rs = beta_kernel_roots(1.0, -1.0, math.log(3.0))
     assert rs.regime == "monotone"
     assert len(rs.roots) == 1
     x = rs.roots[0]
@@ -58,14 +58,14 @@ def test_roots_monotone_regime():
 
 
 def test_roots_single_power():
-    rs = beta_kernel_roots(2.0, 0.0, 0.5625)
+    rs = beta_kernel_roots(2.0, 0.0, math.log(0.5625))
     assert len(rs.roots) == 1
     assert rs.roots[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_roots_both_negative():
     # T(x) = 1/(x(1-x)) is U-shaped with minimum 4 at 1/2
-    rs = beta_kernel_roots(-1.0, -1.0, 5.0)
+    rs = beta_kernel_roots(-1.0, -1.0, math.log(5.0))
     assert rs.regime == "unimodal"
     assert len(rs.roots) == 2
     lo, hi = rs.roots
@@ -75,11 +75,9 @@ def test_roots_both_negative():
 
 def test_roots_validation():
     with pytest.raises(ValueError):
-        beta_kernel_roots(0.0, 0.0, 0.5)
+        beta_kernel_roots(0.0, 0.0, math.log(0.5))
     with pytest.raises(ValueError):
-        beta_kernel_roots(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        beta_kernel_roots(1.0, 1.0, -2.0)
+        beta_kernel_roots(1.0, 1.0, -math.inf)  # c = 0
     with pytest.raises(ValueError):
         beta_kernel_roots(1.0, 1.0, math.inf)
 
@@ -108,7 +106,7 @@ def test_roots_roundtrip(a, b, x0):
             x_star = a / (a + b)
         if abs(x0 - x_star) < 0.02:
             return
-    rs = beta_kernel_roots(a, b, c)
+    rs = beta_kernel_roots(a, b, math.log(c))
     assert rs.roots, f"no roots returned for a={a} b={b} c={c}"
     assert min(abs(r - x0) for r in rs.roots) < 1e-9
     assert all(res <= 1e-10 for res in rs.log_residuals)
@@ -125,7 +123,7 @@ def test_sign_constant_between_roots():
         (3.0, 2.0, 0.01),
     ]
     for a, b, c in cases:
-        rs = beta_kernel_roots(a, b, c)
+        rs = beta_kernel_roots(a, b, math.log(c))
         knots = [0.0] + list(rs.roots) + [1.0]
         for lo, hi in zip(knots[:-1], knots[1:]):
             xs = np.linspace(lo, hi, 1002)[1:-1]
@@ -180,22 +178,57 @@ def test_check_ss_dda_holds_case():
 
 
 def test_candidate_min_matches_dense_grid():
-    """The candidate set from the two kernel constants finds the infimum."""
+    """Z at the endpoints and the kernel roots is the infimum: no point of a
+    dense grid of Z, measured with scipy, lies lower, and the verdict agrees
+    with the grid's sign wherever that sign is clear."""
     rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 60:
-        n = int(rng.integers(1, 13))
-        m = int(rng.integers(n, 13))
+    pairs = []
+    while len(pairs) < 300:
+        n, m = (int(k) for k in rng.integers(1, 41, size=2))
+        a, b = S(int(rng.integers(1, n + 1)), n), S(int(rng.integers(1, m + 1)), m)
+        if a != b:
+            pairs.append((a, b))
+    for _ in range(8):
+        # band cells near the mean line, where Z can dip below zero inside
+        n, m = (int(k) for k in rng.integers(500, 1001, size=2))
         i = int(rng.integers(1, n + 1))
-        j = int(rng.integers(1, m + 1))
-        a, b = S(i, n), S(j, m)
-        if (i, n) == (j, m):
-            continue
+        j = min(m, max(1, round(i * (m + 1) / (n + 1)) + int(rng.integers(-2, 3))))
+        pairs.append((S(i, n), S(j, m)))
+    xs = np.linspace(0.0, 1.0, 10_001)
+    for a, b in pairs:
         verdict = check_ss_dda(a, b)
-        xs = np.linspace(0.0, 1.0, 10_001)
-        zs = np.array([ss_margin_dda(a, b, float(x)) for x in xs])
-        assert verdict.lhs_witness <= zs.min() + 1e-9, (a, b)
-        checked += 1
+        grid_min = float(_z_scipy(a, b, xs).min())
+        assert verdict.lhs_witness <= grid_min + 1e-12, (a, b)
+        if abs(grid_min) > 1e-9:
+            assert verdict.holds == (grid_min > 0.0), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (S(1, 2), S(600, 1200)),
+    (S(1, 1), S(1000, 2000)),
+    (S(1000, 2000), S(1, 1)),
+])
+def test_check_ss_dda_large_n_matches_scipy_grid(a, b):
+    """Kernel constants B(i,n-i+1)/B(j,m-j+1) outside the double range
+    (|ln c| > 709) still give the infimum of Z."""
+    xs = np.linspace(0.0, 1.0, 200_001)
+    z = (a.i / (a.n + 1)) * special.betaincc(a.i + 1, a.n - a.i + 1, xs) - (
+        b.i / (b.n + 1)) * special.betaincc(b.i + 1, b.n - b.i + 1, xs)
+    verdict = check_ss_dda(a, b)
+    assert not verdict.holds
+    assert verdict.lhs_witness == pytest.approx(float(z.min()), abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b, inf_z", [
+    (S(3, 12), S(1, 9), -2.02985330777e-18),
+    (S(6, 12), S(1, 6), -2.36005518083e-19),
+    (S(3, 9), S(1, 6), -3.32865740084e-11),
+    (S(7, 11), S(1, 4), -1.85999091287e-12),
+])
+def test_check_ss_dda_witness_keeps_relative_accuracy_near_one(a, b, inf_z):
+    """Dips close to x = 1, where both partial means are tiny tails; inf_z is
+    the minimum of Z from mpmath's betainc at 40 digits."""
+    assert check_ss_dda(a, b).lhs_witness == pytest.approx(inf_z, rel=1e-10, abs=0.0)
 
 
 def test_z_derivative_sign_pattern_on_band_cell():
