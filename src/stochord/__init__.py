@@ -8,10 +8,11 @@ order-statistic mean sits inside the parent distribution.
 
 Layering, bottom up:
 
-    specfun     digamma, log-beta, regularised incomplete beta, harmonic sums
-    refdist     the six reference distributions and the beta spec (i, n)
+    specfun     harmonic sums, log-beta, regularised incomplete beta
+    refdist     the six reference distributions, the beta spec (i, n) and
+                the one table of transformed means E[G^{-1}(B_{i:n})]
     orderstat   transformed order statistics and their partial means
-    conditions  closed-form icv/icx checks per shape class
+    conditions  icv/icx checks: rank precondition, then two table means
     ssverify    the star-shaped criterion, root solver, and region maps
     bounds      exceedance bounds and the empirical plug-in interval
     oracle      scipy-only quadrature probes, deliberately independent

@@ -16,6 +16,7 @@ quantile function localises the mean of X_{i:n} between two data points.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -23,11 +24,12 @@ from .conditions import ShapeClass, UnsupportedClassError
 from .refdist import (
     OrderStatSpec,
     ReferenceDistribution,
+    _transformed_mean,
     cdf,
     expected_transformed_orderstat,
     quantile,
 )
-from .specfun import digamma, harmonic_sum
+from .specfun import harmonic_sum
 
 __all__ = [
     "ExceedanceBound",
@@ -60,14 +62,14 @@ _LOWER_CLASSES = frozenset(
 def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
     """G(E[G^{-1}(B_{i:n})]) for a reference distribution G.
 
-    Every reference admits a closed form, and the two log-logistic ones
+    The two log-logistic references return their exact rationals, which
     stay exact even where the transformed mean diverges (the bound
-    degenerates to 1 or 0 there):
+    degenerates to 1 or 0 there); the other four apply G to the mean:
 
         uniform             i/(n+1)
         exponential         1 - exp(-sum_{k=n-i+1}^n 1/k)
         log-logistic        i/n
-        logistic            sigmoid(psi(i) - psi(n-i+1))
+        logistic            sigmoid(H_{i-1} - H_{n-i})
         neg. exponential    exp(-sum_{k=i}^n 1/k)
         neg. log-logistic   (i-1)/n
     """
@@ -75,21 +77,13 @@ def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
 
 
 def _p_value(dist: ReferenceDistribution, i: int, n: int, tail) -> float:
-    # p_value's formulas; tail(lo) is sum_{k=lo}^{n} 1/k, one harmonic_sum per
-    # entry for p_value, a lookup in _harmonic_tails(n) for bound_table.
-    if dist is ReferenceDistribution.UNIFORM:
-        return i / (n + 1.0)
-    if dist is ReferenceDistribution.EXPONENTIAL:
-        return -math.expm1(-tail(n - i + 1))
+    # tail(lo) = sum_{k=lo}^{n} 1/k, from _harmonic_tails(n) in bound_table.
+    # G(i/(n-i)) in floats misses i/n in the last bit; the ranks read it.
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         return i / float(n)
-    if dist is ReferenceDistribution.LOGISTIC:
-        return cdf(dist, digamma(i) - digamma(n - i + 1))
-    if dist is ReferenceDistribution.NEG_EXPONENTIAL:
-        return math.exp(-tail(i))
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
         return (i - 1) / float(n)
-    raise ValueError(f"no exceedance bound for reference {dist!r}")
+    return cdf(dist, _transformed_mean(dist, i, n, tail))
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,7 +277,9 @@ class PlugInInterval:
 
 
 def _empirical_rank(n_data: int, p: float) -> int:
-    return max(1, math.ceil(n_data * p))
+    # Smallest k with k/N >= p, by the float division that computes a rational
+    # p = i/n, so equal ratios compare equal; ceil(N * p) overshoots 100 * 0.07.
+    return 1 + bisect.bisect_left(range(1, n_data), p, key=lambda k: k / n_data)
 
 
 def ecdf_plugin_interval(
@@ -293,7 +289,8 @@ def ecdf_plugin_interval(
 
     Monotonicity of quantile functions turns p_lo <= P(X <= E X_{i:n}) <= p_hi
     into F_n^{-1}(p_lo) <= E X_{i:n} <= F_n^{-1}(p_hi) up to empirical error,
-    with F_n^{-1}(p) = x_(ceil(N p)) on a sample of size N.
+    with F_n^{-1}(p) = x_(k), k the smallest rank with k/N >= p, on a
+    sample of size N.
     """
     xs = sorted(float(v) for v in data)
     if not xs:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
-from .refdist import OrderStatSpec, ReferenceDistribution
-from .specfun import digamma, harmonic_sum
+from .refdist import OrderStatSpec, ReferenceDistribution, expected_transformed_orderstat
 
 __all__ = [
     "ShapeClass",
@@ -90,9 +90,6 @@ _CATALOG: dict[ShapeClass, tuple[TransformKind, ReferenceDistribution]] = {
     ShapeClass.DROR: (TransformKind.CONVEX, _R.NEG_LOG_LOGISTIC_1),
 }
 
-ICV_CLASSES = frozenset(c for c in ShapeClass if c.transform is TransformKind.CONCAVE)
-ICX_CLASSES = frozenset(c for c in ShapeClass if c.transform is TransformKind.CONVEX)
-
 
 class VerdictStatus(enum.Enum):
     HOLDS = "holds"
@@ -112,80 +109,68 @@ class OrderVerdict:
         return self.status is VerdictStatus.HOLDS
 
 
-def _condition_values(shape: ShapeClass, a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float, str, bool]:
-    """Left value, right value, human-readable name, and whether the class
-    condition asks lhs >= rhs (True) or lhs <= rhs (False)."""
-    i, n, j, m = a.i, a.n, b.i, b.n
-    if shape in (ShapeClass.ID, ShapeClass.DD):
-        return i / (n + 1.0), j / (m + 1.0), "i/(n+1) vs j/(m+1)", True
-    if shape in (ShapeClass.IHR, ShapeClass.DHR):
-        return (
-            harmonic_sum(n - i + 1, n),
-            harmonic_sum(m - j + 1, m),
-            "sum 1/k over n-i+1..n vs m-j+1..m",
-            True,
+# Per reference, the witness a verdict prints for a spec (from its mean) and
+# the condition it names: the negative references print the positive sum or
+# ratio, log-logistic the exact i/n, which orders specs as i/(n-i) does.
+_PRINTED = {
+    _R.UNIFORM: (lambda mean, s: mean, "i/(n+1) vs j/(m+1)"),
+    _R.EXPONENTIAL: (lambda mean, s: mean, "sum 1/k over n-i+1..n vs m-j+1..m"),
+    _R.LOGISTIC: (lambda mean, s: mean, "psi(i)-psi(n-i+1) vs psi(j)-psi(m-j+1)"),
+    _R.NEG_EXPONENTIAL: (lambda mean, s: -mean, "sum 1/k over i..n vs j..m"),
+    _R.NEG_LOG_LOGISTIC_1: (lambda mean, s: -mean, "(n-i+1)/(i-1) vs (m-j+1)/(j-1)"),
+    _R.LOG_LOGISTIC_1: (lambda mean, s: s.i / s.n, "i/n vs j/m"),
+}
+
+
+# Transform kind of the classes each order accepts, and its rank precondition.
+_SIDES = {
+    "icv": (TransformKind.CONCAVE, "i >= j", operator.ge),
+    "icx": (TransformKind.CONVEX, "i <= j", operator.le),
+}
+
+
+def _check(order: str, shape: ShapeClass, a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
+    kind, rank_rule, rank_ok = _SIDES[order]
+    if shape.transform is not kind:
+        raise UnsupportedClassError(
+            f"{shape.value} is not an {order}-side ({kind.value}-transform) class"
         )
-    if shape in (ShapeClass.IOR, ShapeClass.DOR):
-        return i / n, j / m, "i/n vs j/m", True
-    if shape in (ShapeClass.ILOR, ShapeClass.DLOR):
-        return (
-            digamma(float(i)) - digamma(float(n - i + 1)),
-            digamma(float(j)) - digamma(float(m - j + 1)),
-            "psi(i)-psi(n-i+1) vs psi(j)-psi(m-j+1)",
-            True,
+    mean_a = expected_transformed_orderstat(shape.reference, a)
+    mean_b = expected_transformed_orderstat(shape.reference, b)
+    if -math.inf in (mean_a, mean_b):
+        # Only DROR at rank 1; check_icx says why this is not compared.
+        raise BoundaryCaseError(
+            "DROR condition compares (n-i+1)/(i-1) against (m-j+1)/(j-1), "
+            "which diverges at rank 1; use the quadrature probe instead"
         )
-    if shape is ShapeClass.DRHR:
-        return harmonic_sum(i, n), harmonic_sum(j, m), "sum 1/k over i..n vs j..m", False
-    if shape is ShapeClass.DROR:
-        if i == 1 or j == 1:
-            raise BoundaryCaseError(
-                "DROR condition compares (n-i+1)/(i-1) against (m-j+1)/(j-1), "
-                "which diverges at rank 1; use the quadrature probe instead"
-            )
-        return (
-            (n - i + 1) / (i - 1.0),
-            (m - j + 1) / (j - 1.0),
-            "(n-i+1)/(i-1) vs (m-j+1)/(j-1)",
-            False,
-        )
-    raise AssertionError(shape)
+    witness, name = _PRINTED[shape.reference]
+    lhs, rhs = witness(mean_a, a), witness(mean_b, b)
+    if not rank_ok(a.i, b.i):
+        return OrderVerdict(order, VerdictStatus.UNDETERMINED, lhs, rhs, f"rank precondition {rank_rule} failed; {name}")
+    status = VerdictStatus.HOLDS if mean_a >= mean_b else VerdictStatus.UNDETERMINED
+    return OrderVerdict(order, status, lhs, rhs, f"{shape.value}: {name}")
 
 
 def check_icv(shape: ShapeClass, a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     """Sufficient condition for X_{i:n} >=_icv X_{j:m} under a concave-class parent.
 
-    Needs rank dominance i >= j plus the class inequality; either failing
-    yields Undetermined (the condition is one-sided, not a disproof).
+    Needs rank dominance i >= j plus E[G^{-1}(B_{i:n})] >= E[G^{-1}(B_{j:m})]
+    for the class's reference G; either failing yields Undetermined (the
+    condition is one-sided, not a disproof).
     """
-    if shape not in ICV_CLASSES:
-        raise UnsupportedClassError(
-            f"{shape.value} is not an icv-side (concave-transform) class"
-        )
-    lhs, rhs, name, _ = _condition_values(shape, a, b)
-    if a.i < b.i:
-        return OrderVerdict("icv", VerdictStatus.UNDETERMINED, lhs, rhs, f"rank precondition i >= j failed; {name}")
-    status = VerdictStatus.HOLDS if lhs >= rhs else VerdictStatus.UNDETERMINED
-    return OrderVerdict("icv", status, lhs, rhs, f"{shape.value}: {name}")
+    return _check("icv", shape, a, b)
 
 
 def check_icx(shape: ShapeClass, a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     """Sufficient condition for X_{i:n} >=_icx X_{j:m} under a convex-class parent.
 
-    Needs i <= j plus the class inequality.  For DD/DHR/DOR/DLOR the
-    inequality reads lhs >= rhs; for the negative-reference classes DRHR and
-    DROR it flips to lhs <= rhs because the transformed means are negatives
-    of the tabulated quantities.
+    Needs i <= j plus E[G^{-1}(B_{i:n})] >= E[G^{-1}(B_{j:m})], in every
+    class.  DRHR and DROR print the positive sums or ratios -mean, so there
+    a Holds has lhs <= rhs.  DROR at rank 1 raises BoundaryCaseError: its
+    mean is -inf, and for i = j = 1, n > m, -inf >= -inf would read Holds
+    although X_{1:n} <=_st X_{1:m}.
     """
-    if shape not in ICX_CLASSES:
-        raise UnsupportedClassError(
-            f"{shape.value} is not an icx-side (convex-transform) class"
-        )
-    lhs, rhs, name, geq = _condition_values(shape, a, b)
-    if a.i > b.i:
-        return OrderVerdict("icx", VerdictStatus.UNDETERMINED, lhs, rhs, f"rank precondition i <= j failed; {name}")
-    ok = lhs >= rhs if geq else lhs <= rhs
-    status = VerdictStatus.HOLDS if ok else VerdictStatus.UNDETERMINED
-    return OrderVerdict("icx", status, lhs, rhs, f"{shape.value}: {name}")
+    return _check("icx", shape, a, b)
 
 
 _MEAN_GEQ_CLASSES = frozenset({ShapeClass.ID, ShapeClass.ILOR, ShapeClass.IHR})

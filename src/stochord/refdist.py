@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .specfun import digamma, harmonic_sum
+from .specfun import harmonic_sum
 
 __all__ = [
     "ReferenceDistribution",
@@ -144,34 +144,37 @@ def quantile(dist: ReferenceDistribution, p: float) -> float:
 def expected_transformed_orderstat(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
     """E[G^{-1}(B_{i:n})] in closed form.
 
-    With B ~ beta(i, n-i+1):
+    With B ~ beta(i, n-i+1) and H_k = sum_{k'=1}^{k} 1/k':
 
       uniform             i/(n+1)
       exponential         sum_{k=n-i+1}^{n} 1/k
       neg-exponential     -sum_{k=i}^{n} 1/k
-      logistic            psi(i) - psi(n-i+1)
-      log-logistic-1      i/(n-i)            (+inf at i=n)
-      neg-log-logistic-1  -(n-i+1)/(i-1)     (-inf at i=1)
+      logistic            H_{i-1} - H_{n-i}      (= psi(i) - psi(n-i+1))
+      log-logistic-1      i/(n-i)                (+inf at i=n)
+      neg-log-logistic-1  -(n-i+1)/(i-1)         (-inf at i=1)
 
+    logit(u) = -log(1-u) + log(u), so the logistic mean is the exponential
+    mean plus the neg-exponential one, and is computed as exactly that sum.
     The last one follows from E[(1-B)/B] = (n-i+1)/(i-1); the divergent
     endpoints are returned as signed infinities rather than raised, because
     the comparison layer can still reason about them.
     """
-    i, n = s.i, s.n
+    return _transformed_mean(dist, s.i, s.n, lambda lo: harmonic_sum(lo, s.n))
+
+
+def _transformed_mean(dist: ReferenceDistribution, i: int, n: int, tail) -> float:
+    # The table above; tail(lo) is sum_{k=lo}^{n} 1/k, a harmonic_sum here
+    # and a lookup in an O(n) table of tails for bounds.bound_table.
     if dist is ReferenceDistribution.UNIFORM:
         return i / (n + 1.0)
     if dist is ReferenceDistribution.EXPONENTIAL:
-        return harmonic_sum(n - i + 1, n)
+        return tail(n - i + 1)
     if dist is ReferenceDistribution.NEG_EXPONENTIAL:
-        return -harmonic_sum(i, n)
+        return -tail(i)
     if dist is ReferenceDistribution.LOGISTIC:
-        return digamma(float(i)) - digamma(float(n - i + 1))
+        return tail(n - i + 1) - tail(i)
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
-        if i == n:
-            return math.inf
-        return i / (n - i)
+        return math.inf if i == n else i / (n - i)
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
-        if i == 1:
-            return -math.inf
-        return -(n - i + 1) / (i - 1.0)
+        return -math.inf if i == 1 else -(n - i + 1) / (i - 1.0)
     raise AssertionError(dist)

@@ -1,31 +1,18 @@
 """Self-contained special functions for order-statistic calculations.
 
 Everything downstream (moment formulas, comparison conditions, the
-star-shaped-order criterion) reduces to four primitives: partial harmonic
-sums, the digamma function, the log beta function, and the regularized
-incomplete beta function.  They are implemented here without reaching for
-scipy so the test suite can check them against an independent library.
+star-shaped-order criterion) reduces to three primitives: partial harmonic
+sums (which also give the digamma differences at integer ranks), the log
+beta function, and the regularized incomplete beta function.  They are
+implemented here without reaching for scipy so the test suite can check
+them against an independent library.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["harmonic_sum", "digamma", "log_beta", "reg_inc_beta"]
-
-# Asymptotic expansion of psi(x), valid for large x:
-#   psi(x) ~ ln x - 1/(2x) - sum_k B_{2k} / (2k x^{2k})
-# Coefficients below are -B_{2k}/(2k) for k = 1..7, i.e. through x^{-14}.
-_PSI_ASYMPTOTIC = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-_PSI_SHIFT_THRESHOLD = 6.0
+__all__ = ["harmonic_sum", "log_beta", "reg_inc_beta"]
 
 _LENTZ_TOL = 1e-14
 _LENTZ_MAX_ITER = 300
@@ -43,29 +30,6 @@ def harmonic_sum(lo: int, hi: int) -> float:
     if lo < 1 or hi < lo:
         raise ValueError(f"harmonic_sum needs 1 <= lo <= hi, got lo={lo} hi={hi}")
     return math.fsum(1.0 / k for k in range(hi, lo - 1, -1))
-
-
-def digamma(x: float) -> float:
-    """Digamma (psi) function for real x > 0.
-
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument up to
-    at least 6, then the asymptotic series through x^-14.  Absolute error
-    stays below ~1e-12 across [1e-3, 1e6].
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"digamma defined here for x > 0 only, got {x}")
-    acc = 0.0
-    while x < _PSI_SHIFT_THRESHOLD:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for coeff in _PSI_ASYMPTOTIC:
-        series += coeff * power
-        power *= inv2
-    return acc + math.log(x) - 0.5 / x + series
 
 
 def log_beta(a: float, b: float) -> float:

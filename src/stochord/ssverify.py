@@ -36,8 +36,8 @@ import math
 from dataclasses import dataclass
 
 from .conditions import OrderVerdict, VerdictStatus
-from .refdist import OrderStatSpec, ReferenceDistribution, cdf
-from .specfun import harmonic_sum, log_beta, reg_inc_beta
+from .refdist import OrderStatSpec, ReferenceDistribution, cdf, expected_transformed_orderstat
+from .specfun import log_beta, reg_inc_beta
 
 __all__ = [
     "RootSet",
@@ -218,6 +218,11 @@ def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 # exponential frame (DHRA)
 # ---------------------------------------------------------------------------
 
+def _exp_mean(s: OrderStatSpec) -> float:
+    # E[-log(1 - B_{i:n})]; Z(0) in this frame is the difference of two of these
+    return expected_transformed_orderstat(ReferenceDistribution.EXPONENTIAL, s)
+
+
 def _exp_tail_series(s: OrderStatSpec, x: float) -> tuple[float, float]:
     """Alternating binomial closed form of the exponential-frame tail integral
     int_x^inf t (1-e^-t)^(i-1) e^-(n-i+1)t dt / B(i, n-i+1).
@@ -290,7 +295,7 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     if a == b:
         return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
                             "DHRA: identical specs, Z == 0")
-    z0 = harmonic_sum(a.n - a.i + 1, a.n) - harmonic_sum(b.n - b.i + 1, b.n)
+    z0 = _exp_mean(a) - _exp_mean(b)
     cand_x = [-math.log1p(-r) for r in _critical_candidates(a, b)]
     cand_vals = [z0] + [ss_margin_dhra(a, b, x, method="quad") for x in cand_x]
     cand_pts = [0.0] + cand_x
@@ -450,6 +455,6 @@ def region_map_dhra(n: int, m: int) -> RegionMap:
     """
     return _classify_cells(
         n, m, "DHRA",
-        lambda i, j: harmonic_sum(n - i + 1, n) - harmonic_sum(m - j + 1, m),
+        lambda i, j: _exp_mean(OrderStatSpec(i, n)) - _exp_mean(OrderStatSpec(j, m)),
         check_ss_dhra,
     )

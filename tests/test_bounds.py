@@ -6,6 +6,7 @@ from array import array
 import pytest
 
 from stochord.bounds import (
+    _empirical_rank,
     BoundInterval,
     bound_table,
     bound_table_csv,
@@ -169,6 +170,28 @@ def test_ecdf_plugin_carbon_fibers(data_dir):
     assert iv.bound.p_hi == pytest.approx(0.200, abs=1e-12)
     assert (iv.rank_lo, iv.rank_hi) == (20, 20)
     assert (iv.x_lo, iv.x_hi) == (1.69, 1.69)
+
+
+@pytest.mark.parametrize("n_data", [1, 2, 7, 18, 30, 100, 1000, 4097])
+def test_empirical_rank_is_exact_on_rational_bounds(n_data):
+    """The LL, U and LL- bounds are the rationals i/n, i/(n+1), (i-1)/n; the
+    rank is the smallest k with k/N >= p, i.e. ceil(N * num / den) in
+    integers (at least 1).
+
+    ceil(N * p) of the float p overshoots where the product rounds up:
+    100 * 0.07 > 7.
+    """
+    exact = {
+        R.LOG_LOGISTIC_1: lambda i, n: (i, n),
+        R.UNIFORM: lambda i, n: (i, n + 1),
+        R.NEG_LOG_LOGISTIC_1: lambda i, n: (i - 1, n),
+    }
+    for dist, ratio in exact.items():
+        for n in range(1, 201):
+            for i in range(1, n + 1):
+                num, den = ratio(i, n)
+                want = max(1, -(-n_data * num // den))
+                assert _empirical_rank(n_data, p_value(dist, S(i, n))) == want, (dist, i, n)
 
 
 def test_ecdf_plugin_input_validation():

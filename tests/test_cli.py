@@ -181,6 +181,15 @@ def test_data_interval_carbon(data_dir, tmp_path, capsys):
     assert payload["feasible"] is True
 
 
+def test_data_interval_rank_of_a_rational_bound_is_exact(data_dir, capsys):
+    # p_hi = 7/100 is x_(7), although 100 * 0.07 rounds to 7.000000000000001
+    rc = main(["data-interval", "--data", str(data_dir / "carbon_fibers.csv"),
+               "--spec", "7,100", "--lower-class", "DRHR", "--upper-class", "IOR"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "rank_lo=7 rank_hi=7 x_lo=1.17 x_hi=1.17" in out
+
+
 def test_data_interval_infeasible_exit_two(data_dir, capsys):
     csv = str(data_dir / "carbon_fibers.csv")
     rc = main(["data-interval", "--data", csv, "--spec", "9,10",

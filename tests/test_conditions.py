@@ -1,5 +1,8 @@
 """Closed-form icv/icx checkers: catalog wiring, verdicts, preconditions."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -210,3 +213,78 @@ def test_mean_comparison_examples():
     assert check_mean_dominates_orderstat(C.DD, S(1, 5)).holds
     # middle ranks of small samples stay undetermined for ID
     assert not check_mean_dominated_by_orderstat(C.ID, S(1, 3)).holds
+
+
+def _h(lo, hi):
+    """sum_{k=lo}^{hi} 1/k as a Fraction, 0 for an empty range."""
+    return sum((Fraction(1, k) for k in range(lo, hi + 1)), Fraction(0))
+
+
+def _exact_mean(dist, i, n):
+    """E[G^{-1}(B_{i:n})] in rational arithmetic, signed inf where it diverges."""
+    if dist is R.UNIFORM:
+        return Fraction(i, n + 1)
+    if dist is R.EXPONENTIAL:
+        return _h(n - i + 1, n)
+    if dist is R.NEG_EXPONENTIAL:
+        return -_h(i, n)
+    if dist is R.LOGISTIC:
+        return _h(1, i - 1) - _h(1, n - i)
+    if dist is R.LOG_LOGISTIC_1:
+        return Fraction(i, n - i) if i < n else math.inf
+    return -Fraction(n - i + 1, i - 1) if i > 1 else -math.inf
+
+
+def _exact_witness(dist, i, n, mean):
+    if dist is R.LOG_LOGISTIC_1:
+        return Fraction(i, n)
+    if dist in (R.NEG_EXPONENTIAL, R.NEG_LOG_LOGISTIC_1):
+        return -mean
+    return mean
+
+
+def _ulp_scale(dist, i, n, want):
+    """Magnitude whose ulp measures the witness error.
+
+    The logistic mean is the difference of two correctly rounded harmonic
+    tails, so its error is that of the larger tail, not of the difference:
+    at (5, 10) the exact -1/5 comes out 2.4 ulp(1/5) off.
+    """
+    if dist is R.LOGISTIC:
+        return _h(min(i, n - i + 1), n)
+    return want
+
+
+@pytest.mark.parametrize("shape", CONCAVE_SIDE + CONVEX_SIDE)
+def test_every_small_verdict_matches_exact_rational_referee(shape):
+    """All 6,084 pairs with n, m <= 12, decided in fractions.Fraction.
+
+    Status and rank precondition must match the exact decision, and each
+    witness must lie within 2 ulp of its exact value (for logistic, 2 ulp of
+    the larger harmonic tail it subtracts); DROR at rank 1 raises.
+    """
+    check = check_icv if shape.transform is TransformKind.CONCAVE else check_icx
+    specs = [(i, n) for n in range(1, 13) for i in range(1, n + 1)]
+    means = {spec: _exact_mean(shape.reference, *spec) for spec in specs}
+    witnesses = {}  # spec -> its witness, checked against Fraction once
+    for i, n in specs:
+        for j, m in specs:
+            if shape is C.DROR and 1 in (i, j):
+                with pytest.raises(BoundaryCaseError):
+                    check(shape, S(i, n), S(j, m))
+                continue
+            verdict = check(shape, S(i, n), S(j, m))
+            rank_ok = i >= j if check is check_icv else i <= j
+            assert verdict.condition_name.startswith("rank precondition") == (not rank_ok)
+            assert verdict.holds == (rank_ok and means[i, n] >= means[j, m]), (i, n, j, m)
+            for got, (k, p) in ((verdict.lhs_witness, (i, n)), (verdict.rhs_witness, (j, m))):
+                if (k, p) in witnesses:
+                    assert got == witnesses[k, p], (k, p)
+                    continue
+                witnesses[k, p] = got
+                want = _exact_witness(shape.reference, k, p, means[k, p])
+                if math.isinf(want):
+                    assert got == want
+                else:
+                    scale = float(_ulp_scale(shape.reference, k, p, want))
+                    assert abs(Fraction(got) - want) <= 2 * math.ulp(scale), (k, p)

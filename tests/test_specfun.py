@@ -1,20 +1,25 @@
 """Special-function layer, cross-checked against scipy.special throughout.
 
-The package deliberately hand-rolls digamma and the regularised incomplete
-beta so that the oracle module can use scipy as an independent second route;
-these tests are where the two routes meet.
+The package deliberately hand-rolls harmonic sums, log-beta and the
+regularised incomplete beta so that the oracle module can use scipy as an
+independent second route; these tests are where the two routes meet.  The
+digamma differences psi(i) - psi(n-i+1) of the logistic moments are
+harmonic sums at integer ranks, so they are checked here as the refdist
+table entry against scipy's psi.
 """
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from stochord.specfun import digamma, harmonic_sum, log_beta, reg_inc_beta
-
-EULER_GAMMA = 0.5772156649015329
+from stochord.refdist import OrderStatSpec, expected_transformed_orderstat
+from stochord.refdist import ReferenceDistribution as R
+from stochord.specfun import harmonic_sum, log_beta, reg_inc_beta
 
 
 def test_harmonic_sum_small_values():
@@ -48,31 +53,30 @@ def test_harmonic_sum_additivity(lo, span1, span2):
     assert left == pytest.approx(harmonic_sum(lo, hi2), abs=1e-14)
 
 
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.25, 100.0])
-def test_digamma_recurrence(x):
-    assert digamma(x + 1.0) - digamma(x) - 1.0 / x == pytest.approx(0.0, abs=1e-12)
-
-
-def test_digamma_known_values():
-    # the shift-to-6 asymptotic design carries ~2e-13 absolute error
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-    assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
-    assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
-
-
-@given(st.floats(min_value=0.05, max_value=300.0, allow_nan=False))
-def test_digamma_matches_scipy(x):
-    mine = digamma(x)
-    ref = float(special.psi(x))
-    assert mine == pytest.approx(ref, rel=1e-12, abs=1e-12)
+def test_digamma_matches_scipy():
+    """The logistic table entry is psi(i) - psi(n-i+1), to 1e-14 absolute."""
+    for n in range(1, 301):
+        i = np.arange(1, n + 1)
+        want = special.psi(i) - special.psi(n - i + 1)
+        for k in range(1, n + 1):
+            got = expected_transformed_orderstat(R.LOGISTIC, OrderStatSpec(k, n))
+            assert abs(got - want[k - 1]) <= 1e-14, (k, n)
 
 
 def test_digamma_partial_sum_identity():
-    """psi(i) - psi(n+1) = -sum_{k=i}^{n} 1/k for integer ranks."""
+    """logit(u) = -log(1-u) + log(u): logistic = exponential + neg-exponential.
+
+    psi(i) - psi(n-i+1) = sum_{k=n-i+1}^{n} 1/k - sum_{k=i}^{n} 1/k, bit for bit.
+    """
     for n in range(1, 51):
         for i in range(1, n + 1):
-            lhs = digamma(float(i)) - digamma(float(n + 1))
-            assert lhs == pytest.approx(-harmonic_sum(i, n), abs=1e-12)
+            s = OrderStatSpec(i, n)
+            logistic = expected_transformed_orderstat(R.LOGISTIC, s)
+            parts = (
+                expected_transformed_orderstat(R.EXPONENTIAL, s)
+                + expected_transformed_orderstat(R.NEG_EXPONENTIAL, s)
+            )
+            assert struct.pack("<d", logistic) == struct.pack("<d", parts), (i, n)
 
 
 @given(
