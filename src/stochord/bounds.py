@@ -29,7 +29,6 @@ from .refdist import (
     expected_transformed_orderstat,
     quantile,
 )
-from .specfun import harmonic_sum
 
 __all__ = [
     "ExceedanceBound",
@@ -73,17 +72,17 @@ def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
         neg. exponential    exp(-sum_{k=i}^n 1/k)
         neg. log-logistic   (i-1)/n
     """
-    return _p_value(dist, s.i, s.n, lambda lo: harmonic_sum(lo, s.n))
+    return _p_value(dist, s.i, s.n, expected_transformed_orderstat(dist, s))
 
 
-def _p_value(dist: ReferenceDistribution, i: int, n: int, tail) -> float:
-    # tail(lo) = sum_{k=lo}^{n} 1/k, from _harmonic_tails(n) in bound_table.
+def _p_value(dist: ReferenceDistribution, i: int, n: int, mean: float) -> float:
+    # mean = E[G^{-1}(B_{i:n})], computed once by the caller and reused.
     # G(i/(n-i)) in floats misses i/n in the last bit; the ranks read it.
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         return i / float(n)
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
         return (i - 1) / float(n)
-    return cdf(dist, _transformed_mean(dist, i, n, tail))
+    return cdf(dist, mean)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,13 +111,15 @@ def exceedance_bound(shape: ShapeClass, s: OrderStatSpec) -> ExceedanceBound:
         raise UnsupportedClassError(
             f"{shape.value}: star-shaped classes give no mean-based exceedance bound"
         )
+    ref = shape.reference
+    mean = expected_transformed_orderstat(ref, s)
     return ExceedanceBound(
         shape=shape,
         spec=s,
         side=side,
-        p=p_value(shape.reference, s),
-        reference=shape.reference,
-        transformed_mean=expected_transformed_orderstat(shape.reference, s),
+        p=_p_value(ref, s.i, s.n, mean),
+        reference=ref,
+        transformed_mean=mean,
     )
 
 
@@ -200,7 +201,13 @@ def bound_table(
     refs = _DEFAULT_TABLE_REFS if references is None else tuple(references)
     tail = _harmonic_tails(n).__getitem__
     return [
-        (_ROW_LABELS[dist], tuple(_p_value(dist, i, n, tail) for i in range(1, n + 1)))
+        (
+            _ROW_LABELS[dist],
+            tuple(
+                _p_value(dist, i, n, _transformed_mean(dist, i, n, tail))
+                for i in range(1, n + 1)
+            ),
+        )
         for dist in refs
     ]
 

@@ -20,7 +20,8 @@ DDA`) evaluate ssverify's criterion at the kernel roots with the same
 special functions, so none of them imports numpy or scipy.  ssverify loads
 numpy for its DHRA sign grid and orderstat (scipy's quadrature) for its
 DHRA fallback only when a DHRA verdict runs; `probe` imports the oracle,
-which is built on scipy by design.  Those modules are imported inside the
+which is built on scipy by design (numpy, scipy.special and scipy.integrate;
+no subcommand loads scipy.stats).  Those modules are imported inside the
 commands, and their functions are looked up on the module at call time, so
 a function replaced on its module (as a tracing harness does) is the one
 that runs.

@@ -1,11 +1,14 @@
 """Independent numerical probes for the stochastic-order claims.
 
 Everything in this module rechecks an ordering from its defining integral
-characterisation, using scipy and the standard library only (betainc and
-betaincinv for the beta layer, adaptive quadrature for partial means).  None
-of the closed forms, continued fractions, or series from the rest of the
-package are imported, so an agreement between a checker verdict and a probe
-is evidence, not circularity.
+characterisation, using numpy, scipy and the standard library only (betainc
+and betaincinv from scipy.special for the beta layer, adaptive quadrature
+from scipy.integrate for partial means).  scipy.stats is not loaded: the one
+density it supplied, Beta(i, n-i+1) at u = 0 and u = 1, is exact in closed
+form for integer parameters (see _integrand).  None of the closed forms,
+continued fractions, or series from the rest of the package are imported,
+so an agreement between a checker verdict and a probe is evidence, not
+circularity.
 
 The partial means integrate G^{-1}(u) times the Beta(i, n-i+1) density over
 u.  That integrand runs once per quadrature node, so it is built once per
@@ -36,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .orderstat import TransformedOrderStat
 from .refdist import OrderStatSpec, ReferenceDistribution
@@ -53,6 +56,18 @@ __all__ = [
 
 _PROBE_TOL = 1e-9
 _QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
+
+
+def __getattr__(name: str):
+    # `oracle.stats` is scipy.stats, imported only when asked for: the
+    # benchmark's tracer (perfbench/tracing.py) still wraps it, while the
+    # oracle itself no longer calls it.  Delete this once the benchmark
+    # retires its `oracle.stats` hook (ROADMAP, benchmark follow-through).
+    if name == "stats":
+        from scipy import stats
+
+        return stats
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- reference forms, duplicated here on purpose (see module docstring) -----
@@ -116,11 +131,15 @@ def _integrand(dist: ReferenceDistribution, s: OrderStatSpec):
     """u -> G^{-1}(u) * beta_pdf(u; i, n-i+1), the partial-mean integrand.
 
     Inside (0, 1) it is plain ``math``.  At u = 0 and u = 1, where log, log1p
-    or a division would raise, it returns what the scipy form
-    ``_ref_quantile(dist, u) * stats.beta.pdf(u, i, n-i+1)`` returns there:
-    a finite value where both factors are finite, +-inf where the quantile
-    diverges against a nonzero density, and nan for inf * 0.  A nan then
-    reaches the probe's margin and fails the probe instead of being hidden.
+    or a division would raise, it multiplies ``_ref_quantile(dist, u)`` by
+    the exact Beta(a, b) density.  With integers a = i >= 1 and
+    b = n-i+1 >= 1 the density u^(a-1) (1-u)^(b-1) / B(a, b) is b at u = 0
+    when a = 1 (B(1, b) = 1/b) and 0 otherwise, a at u = 1 when b = 1 and 0
+    otherwise, and 0 outside [0, 1]; these are the values scipy.stats.beta.pdf
+    returns there, bit for bit.  The product comes out finite where both
+    factors are finite, +-inf where the quantile diverges against a nonzero
+    density, and nan for inf * 0.  A nan then reaches the probe's margin and
+    fails the probe instead of being hidden.
     """
     a, b = float(s.i), float(s.n - s.i + 1)
     log_norm = float(special.betaln(a, b))
@@ -130,8 +149,14 @@ def _integrand(dist: ReferenceDistribution, s: OrderStatSpec):
         if 0.0 < u < 1.0:
             log_pdf = (a - 1.0) * math.log(u) + (b - 1.0) * math.log1p(-u) - log_norm
             return quantile(u) * math.exp(log_pdf)
+        if u == 0.0:
+            pdf = b if a == 1.0 else 0.0
+        elif u == 1.0:
+            pdf = a if b == 1.0 else 0.0
+        else:
+            pdf = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            return float(_ref_quantile(dist, u) * stats.beta.pdf(u, a, b))
+            return float(_ref_quantile(dist, u) * pdf)
 
     return f
 

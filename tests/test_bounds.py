@@ -108,6 +108,31 @@ def test_exceedance_bound_sides():
     assert lo.p == pytest.approx(3.0 / 11.0)
 
 
+# one shape class per reference; exceedance_bound reads the reference off it
+_CLASS_OF = {}
+for _shape in C:
+    if _shape not in (C.DDA, C.DHRA):
+        _CLASS_OF.setdefault(_shape.reference, _shape)
+
+
+@pytest.mark.parametrize("n_values, ranks", [
+    (range(1, 201), None),
+    ((10**6,), (1, 500_000, 10**6)),
+])
+def test_exceedance_bound_reads_p_value_and_mean_bitwise(n_values, ranks):
+    """p and transformed_mean are p_value and the refdist mean, bit for bit."""
+    assert set(_CLASS_OF) == set(R)
+    for dist, shape in _CLASS_OF.items():
+        for n in n_values:
+            for i in ranks or range(1, n + 1):
+                s = S(i, n)
+                bound = exceedance_bound(shape, s)
+                assert bound.reference is dist
+                assert bound.p.hex() == p_value(dist, s).hex(), (dist, s)
+                want = expected_transformed_orderstat(dist, s)
+                assert bound.transformed_mean.hex() == want.hex(), (dist, s)
+
+
 def test_exceedance_bound_rejects_star_classes():
     for shape in (C.DDA, C.DHRA):
         with pytest.raises(UnsupportedClassError):

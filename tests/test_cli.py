@@ -270,6 +270,25 @@ def test_closed_form_commands_load_no_numpy_or_scipy(argv, data_dir):
     assert proc.stdout.splitlines()[-1] in ("0 []", "2 []")
 
 
+def test_scipy_commands_load_no_scipy_stats():
+    argvs = [["probe", "--order", order, "--reference", "exponential",
+              "--a", "3,5", "--b", "2,4", "--grid-size", "5"]
+             for order in ("st", "ss", "icv", "icx")]
+    argvs.append(["verify-ss", "--frame", "DHRA", "--a", "2,3", "--b", "3,5"])
+    proc = _python("import sys; from stochord.cli import main\n"
+                   f"for argv in {argvs!r}:\n"
+                   "    rc = main(argv); print(rc, 'scipy.stats' in sys.modules)\n"
+                   "import scipy.stats, stochord.oracle\n"
+                   "print(stochord.oracle.stats is scipy.stats)")
+    assert proc.returncode == 0, proc.stderr
+    flags = [line for line in proc.stdout.splitlines() if line.endswith(("True", "False"))]
+    assert len(flags) == len(argvs) + 1, proc.stdout
+    for argv, line in zip(argvs, flags):
+        assert line in ("0 False", "2 False"), (argv, line)
+    # the oracle still hands out scipy.stats on request, for tracing harnesses
+    assert flags[-1] == "True"
+
+
 def test_package_exports_resolve_to_their_defining_modules():
     assert len(set(stochord.__all__)) == len(stochord.__all__)
     assert set(stochord.__all__) <= set(dir(stochord))

@@ -138,13 +138,18 @@ def test_partial_means_match_scipy_stats_integrand(dist, i):
 
 
 @pytest.mark.parametrize("dist", list(R))
-@pytest.mark.parametrize("i", [1, 2, 4, 5])
-def test_integrand_at_domain_edges_matches_scipy_form(dist, i):
-    s = S(i, 5)
+@pytest.mark.parametrize("i, n", [
+    # the n = 5 cases keep their original ids, which name the rank alone
+    pytest.param(i, n, id=str(i) if n == 5 else f"{i}-{n}")
+    for n in (1, 2, 3, 5, 9) for i in range(1, n + 1)
+])
+def test_integrand_at_domain_edges_matches_scipy_form(dist, i, n):
+    # every rank of these n: a = 1, b = 1, both (n = 1) and neither
+    s = S(i, n)
     f, ref = _integrand(dist, s), _scipy_integrand(dist, s)
-    for u in (0.0, 1.0):
+    for u in (0.0, 1.0, -0.25, 1.25):
         got, want = f(u), ref(u)
-        assert got == want or (math.isnan(got) and math.isnan(want)), (u, got, want)
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (u, got, want)
     for u in (1e-9, 0.25, 0.5, 0.6, 1.0 - 1e-9):
         assert f(u) == pytest.approx(ref(u), rel=1e-13, abs=0.0)
 
