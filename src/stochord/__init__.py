@@ -20,9 +20,11 @@ Layering, bottom up:
 
 Importing the package loads none of these.  Each public name below is
 resolved on first use from the submodule that defines it (PEP 562), so a
-caller pays only for the layers it touches: specfun, refdist, conditions
-and bounds need nothing but the standard library, while orderstat,
-ssverify and oracle bring in numpy and scipy.
+caller pays only for the layers it touches: specfun, refdist, conditions,
+bounds and ssverify's DDA frame need nothing but the standard library,
+while orderstat, oracle and ssverify's DHRA frame bring in numpy and
+scipy.  The table lists each submodule's ``__all__`` exactly, no more and
+no less.
 """
 
 import importlib
@@ -39,7 +41,7 @@ _EXPORTS = {
         "quantile",
         "expected_transformed_orderstat",
     ),
-    "orderstat": ("TransformedOrderStat", "beta_orderstat_cdf", "upper_partial_mean"),
+    "orderstat": ("TransformedOrderStat", "upper_partial_mean"),
     "conditions": (
         "ShapeClass",
         "TransformKind",
@@ -49,8 +51,6 @@ _EXPORTS = {
         "BoundaryCaseError",
         "check_icv",
         "check_icx",
-        "check_mean_dominated_by_orderstat",
-        "check_mean_dominates_orderstat",
     ),
     "ssverify": (
         "RootSet",
@@ -73,18 +73,9 @@ _EXPORTS = {
         "exceedance_interval",
         "bound_table",
         "bound_table_csv",
-        "ll1_characterization_check",
         "ecdf_plugin_interval",
     ),
-    "oracle": (
-        "OrderProbe",
-        "MCRecord",
-        "probe_st",
-        "probe_ss",
-        "probe_icv",
-        "probe_icx",
-        "mc_expectation",
-    ),
+    "oracle": ("OrderProbe", "probe_st", "probe_ss", "probe_icv", "probe_icx"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset({"specfun", *_EXPORTS, "cli"})

@@ -8,10 +8,13 @@ the parent distribution:
     concave-side classes:  P(X <= E X_{i:n}) <= G(E[G^{-1}(B_{i:n})])
     convex-side classes:   P(X <= E X_{i:n}) >= G(E[G^{-1}(B_{i:n})])
 
-The right-hand side depends on (i, n) and the reference only, never on the
-parent, so a convex/concave pair of assumptions traps the exceedance
-probability in an interval; pushing the interval through an empirical
-quantile function localises the mean of X_{i:n} between two data points.
+The side is the class's transform kind in the `conditions` catalogue, and
+star-shaped classes give no bound.  The right-hand side depends on (i, n)
+and the reference only, never on the parent, so a convex/concave pair of
+assumptions traps the exceedance probability in an interval; pushing the
+interval through an empirical quantile function localises the mean of
+X_{i:n} between two data points.  The table of these bounds has the four
+rows LL, E, U and E-.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .conditions import ShapeClass, UnsupportedClassError
+from .conditions import ShapeClass, TransformKind, UnsupportedClassError
 from .refdist import (
     OrderStatSpec,
     ReferenceDistribution,
     _transformed_mean,
     cdf,
     expected_transformed_orderstat,
-    quantile,
 )
 
 __all__ = [
@@ -39,23 +41,11 @@ __all__ = [
     "exceedance_interval",
     "bound_table",
     "bound_table_csv",
-    "ll1_characterization_check",
     "ecdf_plugin_interval",
 ]
 
-_UPPER_CLASSES = frozenset(
-    {ShapeClass.ID, ShapeClass.IHR, ShapeClass.IOR, ShapeClass.ILOR}
-)
-_LOWER_CLASSES = frozenset(
-    {
-        ShapeClass.DD,
-        ShapeClass.DHR,
-        ShapeClass.DOR,
-        ShapeClass.DLOR,
-        ShapeClass.DRHR,
-        ShapeClass.DROR,
-    }
-)
+# Which side of P(X <= E X_{i:n}) a class bounds, by its transform kind.
+_SIDES = {TransformKind.CONCAVE: "upper", TransformKind.CONVEX: "lower"}
 
 
 def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
@@ -71,6 +61,10 @@ def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
         logistic            sigmoid(H_{i-1} - H_{n-i})
         neg. exponential    exp(-sum_{k=i}^n 1/k)
         neg. log-logistic   (i-1)/n
+
+    The x/(1+x) reference is the one whose transformed mean sits exactly
+    on its own i/n quantile: E[G^{-1}(B_{i:n})] = i/(n-i) = G^{-1}(i/n),
+    which is what makes the i/n bound tight.
     """
     return _p_value(dist, s.i, s.n, expected_transformed_orderstat(dist, s))
 
@@ -103,11 +97,8 @@ def exceedance_bound(shape: ShapeClass, s: OrderStatSpec) -> ExceedanceBound:
     Concave-side classes bound from above, convex-side classes from below;
     star-shaped classes are rejected.
     """
-    if shape in _UPPER_CLASSES:
-        side = "upper"
-    elif shape in _LOWER_CLASSES:
-        side = "lower"
-    else:
+    side = _SIDES.get(shape.transform)
+    if side is None:
         raise UnsupportedClassError(
             f"{shape.value}: star-shaped classes give no mean-based exceedance bound"
         )
@@ -150,12 +141,12 @@ def exceedance_interval(
     that no distribution satisfies both shape assumptions at once in a way
     compatible with this order statistic.
     """
-    if lower_shape not in _LOWER_CLASSES:
+    if lower_shape.transform is not TransformKind.CONVEX:
         raise UnsupportedClassError(
             f"{lower_shape.value}: lower bound needs a convex-side class "
             "(DD, DHR, DOR, DLOR, DRHR, DROR)"
         )
-    if upper_shape not in _UPPER_CLASSES:
+    if upper_shape.transform is not TransformKind.CONCAVE:
         raise UnsupportedClassError(
             f"{upper_shape.value}: upper bound needs a concave-side class "
             "(ID, IHR, IOR, ILOR)"
@@ -173,42 +164,31 @@ def exceedance_interval(
     return BoundInterval(lower=lo, upper=hi, feasible=feasible, note=note)
 
 
-_ROW_LABELS: dict[ReferenceDistribution, str] = {
-    ReferenceDistribution.LOG_LOGISTIC_1: "LL",
-    ReferenceDistribution.EXPONENTIAL: "E",
-    ReferenceDistribution.UNIFORM: "U",
-    ReferenceDistribution.NEG_EXPONENTIAL: "E-",
-    ReferenceDistribution.LOGISTIC: "L",
-    ReferenceDistribution.NEG_LOG_LOGISTIC_1: "LL-",
-}
-
-# Default row order mirrors the pointwise ordering of the bounds: for every
-# i and n, LL >= E >= U >= E- entry by entry (each row dominates the next).
-_DEFAULT_TABLE_REFS: tuple[ReferenceDistribution, ...] = (
-    ReferenceDistribution.LOG_LOGISTIC_1,
-    ReferenceDistribution.EXPONENTIAL,
-    ReferenceDistribution.UNIFORM,
-    ReferenceDistribution.NEG_EXPONENTIAL,
+# (label, reference) per table row.  The order mirrors the pointwise
+# ordering of the bounds: for every i and n, LL >= E >= U >= E- entry by
+# entry (each row dominates the next).
+_TABLE_ROWS: tuple[tuple[str, ReferenceDistribution], ...] = (
+    ("LL", ReferenceDistribution.LOG_LOGISTIC_1),
+    ("E", ReferenceDistribution.EXPONENTIAL),
+    ("U", ReferenceDistribution.UNIFORM),
+    ("E-", ReferenceDistribution.NEG_EXPONENTIAL),
 )
 
 
-def bound_table(
-    n: int, references: tuple[ReferenceDistribution, ...] | None = None
-) -> list[tuple[str, tuple[float, ...]]]:
-    """p_value rows per reference for i = 1..n, labelled for the CSV surface."""
+def bound_table(n: int) -> list[tuple[str, tuple[float, ...]]]:
+    """p_value rows LL, E, U, E- for i = 1..n, labelled for the CSV surface."""
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"bound_table needs integer n >= 1, got {n!r}")
-    refs = _DEFAULT_TABLE_REFS if references is None else tuple(references)
     tail = _harmonic_tails(n).__getitem__
     return [
         (
-            _ROW_LABELS[dist],
+            label,
             tuple(
                 _p_value(dist, i, n, _transformed_mean(dist, i, n, tail))
                 for i in range(1, n + 1)
             ),
         )
-        for dist in refs
+        for label, dist in _TABLE_ROWS
     ]
 
 
@@ -239,36 +219,12 @@ def _harmonic_tails(n: int) -> list[float]:
     return tails
 
 
-def bound_table_csv(
-    n: int,
-    references: tuple[ReferenceDistribution, ...] | None = None,
-    *,
-    digits: int = 3,
-) -> str:
+def bound_table_csv(n: int, *, digits: int = 3) -> str:
     header = "G," + ",".join(str(i) for i in range(1, n + 1))
     lines = [header]
-    for label, values in bound_table(n, references):
+    for label, values in bound_table(n):
         lines.append(label + "," + ",".join(f"{v:.{digits}f}" for v in values))
     return "\n".join(lines) + "\n"
-
-
-def ll1_characterization_check(s: OrderStatSpec) -> float:
-    """E X_{i:n} for the x/(1+x) parent, certified equal to its i/n-quantile.
-
-    This reference is the unique family whose order-statistic mean lands
-    exactly on the i/n quantile, which is what makes the i/n bound tight.
-    Returns the common value i/(n-i); the mean diverges at i = n and the
-    tagged infinity is passed through unchanged.
-    """
-    mean = expected_transformed_orderstat(ReferenceDistribution.LOG_LOGISTIC_1, s)
-    if math.isinf(mean):
-        return mean
-    q = quantile(ReferenceDistribution.LOG_LOGISTIC_1, s.i / s.n)
-    if abs(mean - q) > 1e-12 * max(1.0, abs(mean)):
-        raise ArithmeticError(
-            f"characterization violated at {s}: mean {mean!r} vs quantile {q!r}"
-        )
-    return mean
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,10 @@ Exit codes follow a sysexits-flavoured convention:
     64  malformed usage: unknown class, unparsable rank spec, bad flag
 
 All file outputs are written atomically (temp file + rename) with LF line
-endings, and payloads are deterministic: the same resolved RunConfig yields
-byte-identical bytes, so outputs can be committed as goldens.
+endings, and payloads are deterministic: the same resolved options yield
+byte-identical bytes, so outputs can be committed as goldens.  JSON payloads
+are strict JSON: a non-finite float is written as the string "inf", "-inf"
+or "nan", never as a bare Infinity or NaN.
 
 Only the subcommands that need scipy load it: DHRA verdicts and `probe`.
 `compare` on a non-star class, `bounds-table` and `data-interval` are closed
@@ -22,8 +24,9 @@ numpy for its DHRA sign grid and orderstat (scipy's quadrature) for its
 DHRA fallback only when a DHRA verdict runs; `probe` imports the oracle,
 which is built on scipy by design (numpy, scipy.special and scipy.integrate;
 no subcommand loads scipy.stats).  Those modules are imported inside the
-commands, and their functions are looked up on the module at call time, so
-a function replaced on its module (as a tracing harness does) is the one
+commands, and their functions are looked up on the module at call time
+(`_ss` for the DDA/DHRA functions, `_probes` for the oracle's), so a
+function replaced on its module (as a tracing harness does) is the one
 that runs.
 """
 
@@ -32,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import click
 
@@ -46,28 +48,13 @@ from .conditions import (
 )
 from .refdist import OrderStatSpec, ReferenceDistribution
 
-__all__ = ["main", "cli", "CliUsageError", "RunConfig"]
+__all__ = ["main", "cli", "CliUsageError"]
 
 
 class CliUsageError(click.UsageError):
     """Usage-level mistake; maps to exit code 64."""
 
     exit_code = 64
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Resolved parameters of one invocation, for deterministic payloads."""
-
-    command: str
-    params: tuple[tuple[str, object], ...]
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.params}
-
-
-def _config(command: str, **params) -> RunConfig:
-    return RunConfig(command, tuple(sorted(params.items())))
 
 
 def _parse_spec(text: str, flag: str) -> OrderStatSpec:
@@ -115,9 +102,16 @@ def _jsonable(v):
     return v
 
 
-def _dump_json(config: RunConfig, body: dict) -> str:
-    payload = {"command": config.command, "config": config.as_dict(), **body}
-    return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+def _dump_json(command: str, config: dict, body: dict) -> str:
+    """The payload of one invocation: its resolved options under "config",
+    then the body, with every top-level non-finite float spelled out."""
+    payload = {
+        "command": command,
+        "config": {k: _jsonable(v) for k, v in config.items()},
+        **{k: _jsonable(v) for k, v in body.items()},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, default=str,
+                      allow_nan=False) + "\n"
 
 
 def _spec_obj(s: OrderStatSpec) -> dict:
@@ -126,6 +120,14 @@ def _spec_obj(s: OrderStatSpec) -> dict:
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
+
+
+def _ss(kind: str, frame: str):
+    """ssverify's `kind` function ("check_ss" or "region_map") for a
+    star-shaped frame ("DDA" or "DHRA"), read off the module at call time."""
+    from . import ssverify
+
+    return getattr(ssverify, f"{kind}_{frame.lower()}")
 
 
 @click.group()
@@ -144,58 +146,38 @@ def cli() -> None:
               help="Left order statistic, rank and sample size.")
 @click.option("--b", "b_text", required=True, metavar="J,M",
               help="Right order statistic.")
-@click.option("--order", "order", default="auto",
-              type=click.Choice(["auto", "icv", "icx", "ss"]),
-              show_default=True,
-              help="Ordering to test; auto picks the one the class supports.")
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False),
               help="Also write the verdict as JSON to this path.")
-def compare(class_name: str, a_text: str, b_text: str, order: str, json_path) -> int:
-    """Test X_a >= X_b in the order matching the shape class.
+def compare(class_name: str, a_text: str, b_text: str, json_path) -> int:
+    """Test X_a >= X_b in the order the shape class supports: icv for the
+    concave-transform classes, icx for the convex ones, ss for DDA and DHRA.
 
     Exit 0 when the sufficient condition holds, 2 when undetermined."""
     shape = _parse_class(class_name)
     a = _parse_spec(a_text, "--a")
     b = _parse_spec(b_text, "--b")
-    wanted = {
-        TransformKind.CONCAVE: "icv",
-        TransformKind.CONVEX: "icx",
-        TransformKind.STAR_SHAPED: "ss",
-    }[shape.transform]
-    if order == "auto":
-        order = wanted
-    elif order != wanted:
-        raise CliUsageError(
-            f"class {shape.value} supports --order {wanted}, not {order}"
-        )
-    if order == "icv":
+    if shape.transform is TransformKind.CONCAVE:
         verdict = check_icv(shape, a, b)
-    elif order == "icx":
+    elif shape.transform is TransformKind.CONVEX:
         verdict = check_icx(shape, a, b)
     else:
-        from . import ssverify
-
-        if shape.reference is ReferenceDistribution.UNIFORM:
-            verdict = ssverify.check_ss_dda(a, b)
-        else:
-            verdict = ssverify.check_ss_dhra(a, b)
+        verdict = _ss("check_ss", shape.value)(a, b)
     click.echo(
         f"order={verdict.order} status={verdict.status.value} "
         f"lhs={_fmt(verdict.lhs_witness)} rhs={_fmt(verdict.rhs_witness)} "
         f'condition="{verdict.condition_name}"'
     )
     if json_path:
-        config = _config(
-            "compare", **{"class": shape.value}, a=a_text, b=b_text, order=order
-        )
-        _write_atomic(json_path, _dump_json(config, {
+        config = {"class": shape.value, "a": a_text, "b": b_text,
+                  "order": verdict.order}
+        _write_atomic(json_path, _dump_json("compare", config, {
             "a": _spec_obj(a),
             "b": _spec_obj(b),
             "class": shape.value,
             "order": verdict.order,
             "status": verdict.status.value,
-            "lhs_witness": _jsonable(verdict.lhs_witness),
-            "rhs_witness": _jsonable(verdict.rhs_witness),
+            "lhs_witness": verdict.lhs_witness,
+            "rhs_witness": verdict.rhs_witness,
             "condition": verdict.condition_name,
         }))
     return 0 if verdict.holds else 2
@@ -216,18 +198,13 @@ def region(class_name: str, n: int, m: int, csv_path, json_path) -> int:
     NeedsCheck_Fail.  CSV goes to stdout unless --csv/--json redirect it."""
     if n > m:
         raise CliUsageError(f"region map needs n <= m, got n={n} m={m}")
-    from . import ssverify
-
-    if class_name.upper() == "DDA":
-        rmap = ssverify.region_map_dda(n, m)
-    else:
-        rmap = ssverify.region_map_dhra(n, m)
+    rmap = _ss("region_map", class_name)(n, m)
     csv_text = rmap.to_csv()
     if csv_path:
         _write_atomic(csv_path, csv_text)
     if json_path:
-        config = _config("region", **{"class": class_name.upper()}, n=n, m=m)
-        _write_atomic(json_path, _dump_json(config, rmap.to_json_obj()))
+        config = {"class": class_name.upper(), "n": n, "m": m}
+        _write_atomic(json_path, _dump_json("region", config, rmap.to_json_obj()))
     if not csv_path and not json_path:
         click.echo(csv_text, nl=False)
     return 0
@@ -260,23 +237,20 @@ def verify_ss(frame: str, a_text: str, b_text: str, json_path) -> int:
     Exit 0 when the criterion function stays nonnegative, 2 otherwise."""
     a = _parse_spec(a_text, "--a")
     b = _parse_spec(b_text, "--b")
-    from . import ssverify
-
-    check = ssverify.check_ss_dda if frame.upper() == "DDA" else ssverify.check_ss_dhra
-    verdict = check(a, b)
+    verdict = _ss("check_ss", frame)(a, b)
     click.echo(
         f"frame={frame.upper()} status={verdict.status.value} "
         f"inf_z={_fmt(verdict.lhs_witness)} "
         f'detail="{verdict.condition_name}"'
     )
     if json_path:
-        config = _config("verify-ss", frame=frame.upper(), a=a_text, b=b_text)
-        _write_atomic(json_path, _dump_json(config, {
+        config = {"frame": frame.upper(), "a": a_text, "b": b_text}
+        _write_atomic(json_path, _dump_json("verify-ss", config, {
             "a": _spec_obj(a),
             "b": _spec_obj(b),
             "frame": frame.upper(),
             "status": verdict.status.value,
-            "inf_z": _jsonable(verdict.lhs_witness),
+            "inf_z": verdict.lhs_witness,
             "detail": verdict.condition_name,
         }))
     return 0 if verdict.holds else 2
@@ -313,22 +287,20 @@ def data_interval(data_path: str, spec_text: str, lower_class: str,
     if b.note:
         click.echo(b.note, err=True)
     if json_path:
-        config = _config(
-            "data-interval", data=os.path.basename(data_path), spec=spec_text,
-            lower_class=lo_shape.value, upper_class=hi_shape.value,
-        )
-        _write_atomic(json_path, _dump_json(config, {
+        config = {"data": os.path.basename(data_path), "spec": spec_text,
+                  "lower_class": lo_shape.value, "upper_class": hi_shape.value}
+        _write_atomic(json_path, _dump_json("data-interval", config, {
             "spec": _spec_obj(s),
             "lower_class": lo_shape.value,
             "upper_class": hi_shape.value,
-            "p_lo": _jsonable(b.p_lo),
-            "p_hi": _jsonable(b.p_hi),
-            "transformed_mean_lo": _jsonable(b.lower.transformed_mean),
-            "transformed_mean_hi": _jsonable(b.upper.transformed_mean),
+            "p_lo": b.p_lo,
+            "p_hi": b.p_hi,
+            "transformed_mean_lo": b.lower.transformed_mean,
+            "transformed_mean_hi": b.upper.transformed_mean,
             "rank_lo": result.rank_lo,
             "rank_hi": result.rank_hi,
-            "x_lo": _jsonable(result.x_lo),
-            "x_hi": _jsonable(result.x_hi),
+            "x_lo": result.x_lo,
+            "x_hi": result.x_hi,
             "n_data": result.n_data,
             "feasible": b.feasible,
             "note": b.note,
@@ -357,6 +329,13 @@ def _read_data_file(path: str) -> list[float]:
 _PROBE_ORDERS = ("icv", "icx", "ss", "st")
 
 
+def _finite_tol(ctx, param, value: float) -> float:
+    # FloatRange(min=0) lets nan and inf through
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number.", ctx, param)
+    return value
+
+
 def _probes() -> dict:
     """Order name -> oracle probe function, as the oracle binds it now."""
     from . import oracle
@@ -381,7 +360,9 @@ def __getattr__(name: str):
 @click.option("--a", "a_text", required=True, metavar="I,N")
 @click.option("--b", "b_text", required=True, metavar="J,M")
 @click.option("--grid-size", default=61, type=click.IntRange(min=3), show_default=True)
-@click.option("--tol", default=1e-9, type=float, show_default=True)
+@click.option("--tol", default=1e-9, type=click.FloatRange(min=0),
+              callback=_finite_tol, show_default=True,
+              help="Margin below -tol refutes the ordering.")
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False))
 def probe(order: str, reference: str, a_text: str, b_text: str,
           grid_size: int, tol: float, json_path) -> int:
@@ -407,16 +388,16 @@ def probe(order: str, reference: str, a_text: str, b_text: str,
         f"worst_point={_fmt(result.worst_point)} grid_size={result.grid_size}"
     )
     if json_path:
-        config = _config("probe", order=order, reference=dist.value,
-                         a=a_text, b=b_text, grid_size=grid_size, tol=tol)
-        _write_atomic(json_path, _dump_json(config, {
+        config = {"order": order, "reference": dist.value, "a": a_text,
+                  "b": b_text, "grid_size": grid_size, "tol": tol}
+        _write_atomic(json_path, _dump_json("probe", config, {
             "a": _spec_obj(a),
             "b": _spec_obj(b),
             "order": result.order,
             "reference": dist.value,
             "passed": result.passed,
-            "worst_margin": _jsonable(result.worst_margin),
-            "worst_point": _jsonable(result.worst_point),
+            "worst_margin": result.worst_margin,
+            "worst_point": result.worst_point,
             "grid_size": result.grid_size,
             "tol": result.tol,
         }))
@@ -429,10 +410,7 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except CliUsageError as exc:
-        exc.show()
-        return 64
-    except click.UsageError as exc:
+    except click.UsageError as exc:  # CliUsageError too
         exc.show()
         return 64
     except click.ClickException as exc:

@@ -30,8 +30,6 @@ __all__ = [
     "BoundaryCaseError",
     "check_icv",
     "check_icx",
-    "check_mean_dominated_by_orderstat",
-    "check_mean_dominates_orderstat",
 ]
 
 
@@ -171,30 +169,3 @@ def check_icx(shape: ShapeClass, a: OrderStatSpec, b: OrderStatSpec) -> OrderVer
     although X_{1:n} <=_st X_{1:m}.
     """
     return _check("icx", shape, a, b)
-
-
-_MEAN_GEQ_CLASSES = frozenset({ShapeClass.ID, ShapeClass.ILOR, ShapeClass.IHR})
-_MEAN_LEQ_CLASSES = frozenset({ShapeClass.DD, ShapeClass.DLOR, ShapeClass.DHR, ShapeClass.DRHR})
-
-
-def check_mean_dominated_by_orderstat(shape: ShapeClass, s: OrderStatSpec) -> OrderVerdict:
-    """Sufficient condition for E X_{i:n} >= E X (the parent mean).
-
-    Specialization of the icv comparison against the full-sample singleton
-    (1, 1); only the concave-side classes where that specialization is
-    informative are accepted (ID, ILOR, IHR).
-    """
-    if shape not in _MEAN_GEQ_CLASSES:
-        raise UnsupportedClassError(
-            f"mean-dominated check supports ID/ILOR/IHR, got {shape.value}"
-        )
-    return check_icv(shape, s, OrderStatSpec(1, 1))
-
-
-def check_mean_dominates_orderstat(shape: ShapeClass, s: OrderStatSpec) -> OrderVerdict:
-    """Sufficient condition for E X >= E X_{j:m}, via icx against (1, 1)."""
-    if shape not in _MEAN_LEQ_CLASSES:
-        raise UnsupportedClassError(
-            f"mean-dominates check supports DD/DLOR/DHR/DRHR, got {shape.value}"
-        )
-    return check_icx(shape, OrderStatSpec(1, 1), s)

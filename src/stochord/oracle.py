@@ -16,7 +16,7 @@ u.  That integrand runs once per quadrature node, so it is built once per
 reference, times the density in log space,
 exp((a-1) log u + (b-1) log1p(-u) - betaln(a, b)), with betaln from
 scipy.special computed once.  The density is written out here again on
-purpose, although orderstat.beta_orderstat_logpdf holds the same formula:
+purpose, although orderstat.upper_partial_mean holds the same formula:
 the referee must not share code with what it referees.
 
 Characterisations probed, for W_a = G^{-1}(B_{i:n}) and W_b = G^{-1}(B_{j:m})
@@ -44,15 +44,7 @@ from scipy import integrate, special
 from .orderstat import TransformedOrderStat
 from .refdist import OrderStatSpec, ReferenceDistribution
 
-__all__ = [
-    "OrderProbe",
-    "MCRecord",
-    "probe_st",
-    "probe_ss",
-    "probe_icv",
-    "probe_icx",
-    "mc_expectation",
-]
+__all__ = ["OrderProbe", "probe_st", "probe_ss", "probe_icv", "probe_icx"]
 
 _PROBE_TOL = 1e-9
 _QUAD_KW = dict(epsabs=1e-11, epsrel=1e-11, limit=300)
@@ -327,50 +319,3 @@ def probe_icx(
         "icx", w_a, w_b, grid_size, tol,
         lambda t: _margin(ewedge(w_b, t), ewedge(w_a, t)),
     )
-
-
-# -- Monte Carlo cross-check ------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class MCRecord:
-    """Sample mean of h(X_{i:n}) with its standard error."""
-
-    spec: OrderStatSpec
-    mean: float
-    stderr: float
-    n_samples: int
-    heavy_tail: bool  # stderr is unreliable when a few draws dominate
-
-
-def mc_expectation(
-    parent_quantile,
-    specs: list[OrderStatSpec],
-    *,
-    n_samples: int = 200_000,
-    seed: int = 0,
-) -> list[MCRecord]:
-    """Monte Carlo means of X_{i:n} = Q(B_{i:n}) for several (i, n) at once.
-
-    One uniform sample feeds every spec (common random numbers), so
-    differences of the returned means carry far less noise than their
-    individual standard errors suggest.  ``parent_quantile`` is a vectorised
-    quantile function of the parent, e.g. a Weibull ppf.
-    """
-    child = np.random.SeedSequence(seed).spawn(1)[0]
-    rng = np.random.default_rng(child)
-    u = rng.random(n_samples)
-    out = []
-    for s in specs:
-        x = np.asarray(
-            parent_quantile(special.betaincinv(s.i, s.n - s.i + 1, u)), dtype=float
-        )
-        mean = float(np.mean(x))
-        stderr = float(np.std(x, ddof=1) / math.sqrt(n_samples))
-        centred = np.abs(x - mean)
-        top = float(np.max(centred))
-        total = float(np.sum(centred**2))
-        heavy = total > 0.0 and top * top > 0.01 * total
-        out.append(
-            MCRecord(spec=s, mean=mean, stderr=stderr, n_samples=n_samples, heavy_tail=heavy)
-        )
-    return out

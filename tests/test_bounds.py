@@ -13,7 +13,6 @@ from stochord.bounds import (
     ecdf_plugin_interval,
     exceedance_bound,
     exceedance_interval,
-    ll1_characterization_check,
     p_value,
 )
 from stochord.conditions import ShapeClass, UnsupportedClassError
@@ -22,6 +21,7 @@ from stochord.refdist import (
     ReferenceDistribution,
     cdf,
     expected_transformed_orderstat,
+    quantile,
 )
 
 S, R, C = OrderStatSpec, ReferenceDistribution, ShapeClass
@@ -72,19 +72,16 @@ def test_bound_table_rows_are_entrywise_ordered(n):
             assert hi >= lo - 1e-15
 
 
-def test_bound_table_custom_references():
-    rows = bound_table(4, (R.LOGISTIC, R.NEG_LOG_LOGISTIC_1))
-    assert [label for label, _ in rows] == ["L", "LL-"]
-    assert rows[1][1] == (0.0, 0.25, 0.5, 0.75)
-
-
 @pytest.mark.parametrize("n", [1, 2, 10, 997, 3000])
 def test_bound_table_equals_p_value_bitwise(n):
     """The table's O(n) harmonic tails give exactly the per-entry p_value."""
-    refs = tuple(R)
-    for dist, (_, row) in zip(refs, bound_table(n, refs)):
-        want = [p_value(dist, S(i, n)) for i in range(1, n + 1)]
-        assert array("d", row).tobytes() == array("d", want).tobytes(), dist
+    rows = bound_table(n)
+    refs = {"LL": R.LOG_LOGISTIC_1, "E": R.EXPONENTIAL, "U": R.UNIFORM,
+            "E-": R.NEG_EXPONENTIAL}
+    assert [label for label, _ in rows] == list(refs)
+    for label, row in rows:
+        want = [p_value(refs[label], S(i, n)) for i in range(1, n + 1)]
+        assert array("d", row).tobytes() == array("d", want).tobytes(), label
 
 
 def test_bound_table_csv_matches_golden(golden_dir):
@@ -168,9 +165,16 @@ def test_infeasible_interval_is_reported_not_raised():
 
 
 def test_ll1_characterization_values():
-    assert ll1_characterization_check(S(2, 10)) == pytest.approx(0.25)
-    assert ll1_characterization_check(S(9, 10)) == pytest.approx(9.0)
-    assert ll1_characterization_check(S(10, 10)) == math.inf
+    """The x/(1+x) mean of B_{i:n} sits exactly on the i/n quantile, i/(n-i),
+    which makes the LL bound i/n tight; it diverges at i = n."""
+    mean = lambda i, n: expected_transformed_orderstat(R.LOG_LOGISTIC_1, S(i, n))
+    for n in range(2, 51):
+        for i in range(1, n):
+            q = quantile(R.LOG_LOGISTIC_1, i / n)
+            assert abs(mean(i, n) - q) <= 1e-12 * max(1.0, abs(q)), (i, n)
+    assert mean(2, 10) == pytest.approx(0.25)
+    assert mean(9, 10) == pytest.approx(9.0)
+    assert mean(10, 10) == math.inf
 
 
 def test_ecdf_plugin_constant_data():

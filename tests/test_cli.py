@@ -64,14 +64,6 @@ def test_compare_rejects_malformed_spec(capsys):
     capsys.readouterr()
 
 
-def test_compare_rejects_mismatched_order(capsys):
-    rc = main(["compare", "--class", "DD", "--a", "2,5", "--b", "3,5",
-               "--order", "icv"])
-    err = capsys.readouterr().err
-    assert rc == 64
-    assert "icx" in err
-
-
 def test_unknown_option_is_usage_error(capsys):
     assert main(["compare", "--klass", "ID", "--a", "2,3", "--b", "2,3"]) == 64
     capsys.readouterr()
@@ -237,6 +229,46 @@ def test_probe_ss_on_signed_support_is_usage_error(capsys):
     assert "nonnegative support" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_probe_rejects_non_finite_or_negative_tol(tol, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    rc = main(["probe", "--order", "st", "--reference", "uniform", "--a", "2,3",
+               "--b", "1,3", "--tol", tol, "--json", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert "--tol" in err
+    assert not path.exists()
+    assert not list(tmp_path.iterdir())
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["compare", "--class", "DROR", "--a", "2,5", "--b", "3,4"], {"order": "icx"}),
+    (["compare", "--class", "DDA", "--a", "2,3", "--b", "3,5"], {"order": "ss"}),
+    (["region", "--class", "DHRA", "-n", "3", "-m", "4"], {"frame": "DHRA"}),
+    (["verify-ss", "--frame", "DDA", "--a", "2,3", "--b", "3,5"], {"frame": "DDA"}),
+    # the IOR mean diverges at i = n
+    (["data-interval", "--data", "CARBON", "--spec", "100,100",
+      "--lower-class", "DROR", "--upper-class", "IOR"],
+     {"transformed_mean_hi": "inf"}),
+    # the x/(1+x) sample maximum has an infinite upper partial mean
+    (["probe", "--order", "icx", "--reference", "log-logistic-1",
+      "--a", "3,3", "--b", "2,3", "--grid-size", "5"], {"worst_margin": "-inf"}),
+], ids=["compare-icx", "compare-ss", "region", "verify-ss", "data-interval", "probe"])
+def test_json_payloads_are_strict_json(argv, expected, data_dir, tmp_path, capsys):
+    argv = [str(data_dir / "carbon_fibers.csv") if a == "CARBON" else a for a in argv]
+    path = tmp_path / "out.json"
+    rc = main([*argv, "--json", str(path)])
+    capsys.readouterr()
+    assert rc in (0, 2)
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload["command"] == argv[0]
+    assert payload.items() >= expected.items()
+
+
 def test_version_via_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "stochord.cli", "--version"],
@@ -303,6 +335,12 @@ def test_package_exports_resolve_to_their_defining_modules():
         assert value is getattr(home, name), name
     with pytest.raises(AttributeError):
         stochord.no_such_name  # noqa: B018
+
+
+def test_exports_list_each_submodule_all_exactly():
+    for module_name, names in stochord._EXPORTS.items():
+        module = importlib.import_module(f"stochord.{module_name}")
+        assert set(module.__all__) == set(names), module_name
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

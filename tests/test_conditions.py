@@ -15,8 +15,6 @@ from stochord.conditions import (
     VerdictStatus,
     check_icv,
     check_icx,
-    check_mean_dominated_by_orderstat,
-    check_mean_dominates_orderstat,
 )
 from stochord.refdist import OrderStatSpec, ReferenceDistribution
 
@@ -178,41 +176,15 @@ def test_id_verdict_matches_the_inequality(i, n, j, m):
     assert verdict.holds == expected
 
 
-@given(
-    i=st.integers(min_value=1, max_value=12),
-    n=st.integers(min_value=1, max_value=12),
-)
-def test_mean_checks_specialise_the_pairwise_checks(i, n):
-    if i > n:
-        return
-    s = S(i, n)
-    one = S(1, 1)
-    for shape in (C.ID, C.ILOR, C.IHR):
-        assert (
-            check_mean_dominated_by_orderstat(shape, s).holds
-            == check_icv(shape, s, one).holds
-        )
-    for shape in (C.DD, C.DLOR, C.DHR, C.DRHR):
-        assert (
-            check_mean_dominates_orderstat(shape, s).holds
-            == check_icx(shape, one, s).holds
-        )
-
-
-def test_mean_checks_reject_other_classes():
-    with pytest.raises(UnsupportedClassError):
-        check_mean_dominated_by_orderstat(C.DD, S(2, 3))
-    with pytest.raises(UnsupportedClassError):
-        check_mean_dominates_orderstat(C.DROR, S(2, 3))
-
-
 def test_mean_comparison_examples():
+    # X_{1:1} is the parent itself, so these compare E X_{i:n} with E X.
+    parent = S(1, 1)
     # the sample maximum dominates the mean under increasing density
-    assert check_mean_dominated_by_orderstat(C.ID, S(5, 5)).holds
+    assert check_icv(C.ID, S(5, 5), parent).holds
     # and under decreasing density the mean dominates the minimum
-    assert check_mean_dominates_orderstat(C.DD, S(1, 5)).holds
+    assert check_icx(C.DD, parent, S(1, 5)).holds
     # middle ranks of small samples stay undetermined for ID
-    assert not check_mean_dominated_by_orderstat(C.ID, S(1, 3)).holds
+    assert not check_icv(C.ID, S(1, 3), parent).holds
 
 
 def _h(lo, hi):

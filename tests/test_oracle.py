@@ -15,7 +15,6 @@ from stochord.oracle import (
     _ref_quantile,
     _run_probe,
     _upper_partial,
-    mc_expectation,
     probe_icv,
     probe_icx,
     probe_ss,
@@ -186,29 +185,3 @@ def test_nan_margin_is_reported_at_its_point():
     assert not p.passed
     assert math.isnan(p.worst_margin)
     assert p.worst_point == ts[2]
-
-
-def test_mc_expectation_uniform_parent():
-    specs = (S(1, 4), S(2, 4), S(3, 4), S(4, 4))
-    records = mc_expectation(lambda u: u, specs, n_samples=100_000, seed=3)
-    assert len(records) == len(specs)
-    for rec, s in zip(records, specs):
-        expected = s.i / (s.n + 1.0)
-        assert abs(rec.mean - expected) < 5.0 * rec.stderr
-        assert not rec.heavy_tail
-
-
-def test_mc_expectation_is_reproducible():
-    specs = (S(2, 6),)
-    a = mc_expectation(lambda u: u**2, specs, n_samples=20_000, seed=11)
-    b = mc_expectation(lambda u: u**2, specs, n_samples=20_000, seed=11)
-    assert a[0].mean == b[0].mean
-    assert a[0].stderr == b[0].stderr
-
-
-def test_mc_expectation_flags_heavy_tails():
-    # quantile of the x/(1+x) parent blows up near u = 1: the top order
-    # statistic of a tiny sample has a wildly heavy tail
-    qf = lambda u: u / (1.0 - u)
-    records = mc_expectation(qf, (S(4, 4),), n_samples=50_000, seed=5)
-    assert records[0].heavy_tail

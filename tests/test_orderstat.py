@@ -1,19 +1,12 @@
-"""Transformed order statistics: CDFs, densities, and partial means."""
+"""Transformed order statistics: upper partial means by quadrature."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import integrate, special
 
-from stochord.orderstat import (
-    TransformedOrderStat,
-    beta_orderstat_cdf,
-    beta_orderstat_logpdf,
-    upper_partial_mean,
-)
+from stochord.orderstat import TransformedOrderStat, upper_partial_mean
 from stochord.refdist import (
     OrderStatSpec,
     ReferenceDistribution,
@@ -21,44 +14,6 @@ from stochord.refdist import (
 )
 
 R = ReferenceDistribution
-
-
-@given(
-    x=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
-    i=st.integers(min_value=1, max_value=20),
-    n=st.integers(min_value=1, max_value=20),
-)
-def test_beta_orderstat_cdf_matches_scipy(x, i, n):
-    if i > n:
-        i, n = n, i
-    s = OrderStatSpec(i, n)
-    assert beta_orderstat_cdf(s, x) == pytest.approx(
-        float(special.betainc(i, n - i + 1, x)), abs=1e-13
-    )
-
-
-@given(x=st.floats(min_value=0.0, max_value=1.0))
-def test_higher_ranks_dominate(x):
-    # P(B_{i:n} <= x) is nonincreasing in i: larger ranks sit to the right
-    n = 9
-    values = [beta_orderstat_cdf(OrderStatSpec(i, n), x) for i in range(1, n + 1)]
-    for first, second in zip(values, values[1:]):
-        assert second <= first + 1e-13
-
-
-def test_logpdf_outside_support():
-    s = OrderStatSpec(2, 5)
-    assert beta_orderstat_logpdf(s, -0.2) == -math.inf
-    assert beta_orderstat_logpdf(s, 1.0) == -math.inf
-
-
-@pytest.mark.parametrize("i,n", [(1, 1), (2, 5), (7, 9)])
-def test_logpdf_normalises(i, n):
-    s = OrderStatSpec(i, n)
-    total, _ = integrate.quad(
-        lambda u: math.exp(beta_orderstat_logpdf(s, u)), 0.0, 1.0, epsabs=1e-12
-    )
-    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("dist", [R.UNIFORM, R.EXPONENTIAL, R.LOG_LOGISTIC_1])
@@ -108,13 +63,6 @@ def test_upper_partial_mean_rejects_bad_input():
         upper_partial_mean(w, -0.5)
     with pytest.raises(ValueError):
         upper_partial_mean(TransformedOrderStat(R.LOGISTIC, OrderStatSpec(1, 2)), 0.1)
-
-
-def test_transformed_orderstat_cdf():
-    w = TransformedOrderStat(R.EXPONENTIAL, OrderStatSpec(2, 6))
-    for t in (0.05, 0.3, 1.2, 3.0):
-        u = 1.0 - math.exp(-t)
-        assert w.cdf(t) == pytest.approx(float(special.betainc(2, 5, u)), abs=1e-12)
 
 
 def test_exponential_upper_partial_against_direct_quadrature():

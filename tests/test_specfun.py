@@ -129,6 +129,16 @@ def test_reg_inc_beta_binomial_identity():
         assert reg_inc_beta(x, i, n - i + 1) == pytest.approx(tail, abs=1e-13)
 
 
+@given(x=st.floats(min_value=0.0, max_value=1.0))
+def test_higher_ranks_dominate(x):
+    # P(B_{i:n} <= x) = I_x(i, n-i+1) is nonincreasing in i: larger ranks
+    # sit to the right
+    n = 9
+    values = [reg_inc_beta(x, float(i), float(n - i + 1)) for i in range(1, n + 1)]
+    for first, second in zip(values, values[1:]):
+        assert second <= first + 1e-13
+
+
 @settings(max_examples=60)
 @given(
     x=st.floats(min_value=0.05, max_value=0.95),
