@@ -53,7 +53,6 @@ _EXPORTS = {
         "check_icx",
     ),
     "ssverify": (
-        "RootSet",
         "CellClass",
         "RegionMap",
         "beta_kernel_roots",

@@ -195,27 +195,18 @@ def bound_table(n: int) -> list[tuple[str, tuple[float, ...]]]:
 def _harmonic_tails(n: int) -> list[float]:
     """T with T[lo] = harmonic_sum(lo, n) for lo = 1..n, in O(n) (T[0] unused).
 
-    One downward pass adds 1/k for k = n..1 into a running list of Shewchuk
-    partials, whose exact sum is that of the terms added so far; math.fsum
-    rounds that sum correctly.  harmonic_sum(lo, n) is the correctly rounded
-    sum of the same float terms, so each T[lo] equals it bit for bit.
+    Every float 1/k with k <= n is an integer multiple of 2^-shift, so one
+    downward pass keeps the running tail exactly, as an integer count of
+    that unit.  int / int rounds correctly, and harmonic_sum(lo, n) is the
+    correctly rounded sum of the same float terms, so each T[lo] equals it
+    bit for bit.
     """
+    shift = 52 + n.bit_length()
     tails = [0.0] * (n + 1)
-    partials: list[float] = []
+    acc = 0
     for k in range(n, 0, -1):
-        x = 1.0 / k
-        used = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[used] = lo
-                used += 1
-            x = hi
-        partials[used:] = [x]
-        tails[k] = math.fsum(partials)
+        acc += int(math.ldexp(1.0 / k, shift))
+        tails[k] = acc / (1 << shift)
     return tails
 
 

@@ -20,14 +20,14 @@ forms over the standard library (conditions, bounds, refdist, specfun), and
 DDA verdicts (`compare --class DDA`, `region --class DDA`, `verify-ss --frame
 DDA`) evaluate ssverify's criterion at the kernel roots with the same
 special functions, so none of them imports numpy or scipy.  ssverify loads
-numpy for its DHRA sign grid and orderstat (scipy's quadrature) for its
-DHRA fallback only when a DHRA verdict runs; `probe` imports the oracle,
-which is built on scipy by design (numpy, scipy.special and scipy.integrate;
-no subcommand loads scipy.stats).  Those modules are imported inside the
-commands, and their functions are looked up on the module at call time
-(`_ss` for the DDA/DHRA functions, `_probes` for the oracle's), so a
-function replaced on its module (as a tracing harness does) is the one
-that runs.
+numpy for its DHRA sign grid and orderstat (scipy's quadrature, which
+evaluates the DHRA candidates and the re-checked grid points) only when a
+DHRA verdict runs; `probe` imports the oracle, which is built on scipy by
+design (numpy, scipy.special and scipy.integrate; no subcommand loads
+scipy.stats).  Those modules are imported inside the commands, and their
+functions are looked up on the module at call time (`_ss` for the DDA/DHRA
+functions, `_probes` for the oracle's), so a function replaced on its
+module (as a tracing harness does) is the one that runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import os
 import click
 
 from . import __version__
-from .bounds import bound_table_csv, ecdf_plugin_interval, exceedance_interval
+from .bounds import bound_table_csv, ecdf_plugin_interval
 from .conditions import (
     ShapeClass,
     TransformKind,

@@ -38,7 +38,7 @@ class TransformedOrderStat:
     spec: OrderStatSpec
 
 
-def upper_partial_mean(t: TransformedOrderStat, x: float, *, tol: float = _QUAD_EPSABS) -> float:
+def upper_partial_mean(t: TransformedOrderStat, x: float) -> float:
     """E[W 1{W > x}] for W = G^{-1}(B_{i:n}), nonnegative-support G only.
 
     Integrates w * f_W(w) over (x, sup) by adaptive quadrature after a
@@ -51,7 +51,7 @@ def upper_partial_mean(t: TransformedOrderStat, x: float, *, tol: float = _QUAD_
     For the log-logistic frame with i = n the integral diverges and +inf is
     returned.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"upper_partial_mean needs x >= 0, got {x}")
     dist, s = t.dist, t.spec
     if not dist.nonnegative:
@@ -70,7 +70,7 @@ def upper_partial_mean(t: TransformedOrderStat, x: float, *, tol: float = _QUAD_
                 return 0.0
             return w * math.exp((a - 1) * math.log(w) + (b - 1) * math.log1p(-w) - lb)
 
-        value, _ = quad(integrand, x, 1.0, epsabs=tol, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
+        value, _ = quad(integrand, x, 1.0, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
         return value
     if dist is ReferenceDistribution.EXPONENTIAL:
         a, b = s.alpha, s.beta
@@ -83,7 +83,7 @@ def upper_partial_mean(t: TransformedOrderStat, x: float, *, tol: float = _QUAD_
             log_u = math.log(-math.expm1(-w))  # log(1 - e^-w)
             return w * math.exp((a - 1) * log_u - b * w - lb)
 
-        value, _ = quad(integrand, x, math.inf, epsabs=tol, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
+        value, _ = quad(integrand, x, math.inf, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
         return value
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         if s.i == s.n:
@@ -97,6 +97,6 @@ def upper_partial_mean(t: TransformedOrderStat, x: float, *, tol: float = _QUAD_
             # f_W(w) = w^(a-1) / (1+w)^(a+b) / B(a,b)
             return w * math.exp((a - 1) * math.log(w) - (a + b) * math.log1p(w) - lb)
 
-        value, _ = quad(integrand, x, math.inf, epsabs=tol, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
+        value, _ = quad(integrand, x, math.inf, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
         return value
     raise AssertionError(dist)

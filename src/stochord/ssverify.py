@@ -22,11 +22,12 @@ frame decides its verdict from those few points alone.  The solver takes
 the constant as its logarithm, a difference of log-betas, which stays
 finite where the ratio itself overflows or underflows.
 
-The exponential frame still pairs its roots with a sign grid.  There Z
-comes from an alternating binomial series, trusted only below an estimated
-condition number, with adaptive quadrature as its fallback; the grid is the
-cross-check on those evaluations until a closed form with positive terms
-only replaces the series.
+The exponential frame still pairs its roots with a sign grid.  Z at the
+candidates, and at the grid points that decide its minimum, comes from
+adaptive quadrature.  The grid itself runs on an alternating binomial
+series when a conditioning probe trusts it, and on a coarser quadrature
+grid otherwise; it is the cross-check on the candidates until a closed form
+with positive terms only replaces the series.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .refdist import OrderStatSpec, ReferenceDistribution, cdf, expected_transfo
 from .specfun import log_beta, reg_inc_beta
 
 __all__ = [
-    "RootSet",
     "CellClass",
     "RegionMap",
     "beta_kernel_roots",
@@ -65,21 +65,8 @@ def _log_sigmoid(s: float) -> float:
     return s - math.log1p(math.exp(s))
 
 
-@dataclass(frozen=True, slots=True)
-class RootSet:
-    """Solutions of x^a (1-x)^b = e^log_c in (0, 1), with solver diagnostics."""
-
-    a: float
-    b: float
-    log_c: float
-    regime: str                      # "monotone" (ab <= 0) or "unimodal" (ab > 0)
-    roots: tuple[float, ...]         # ascending
-    stationary_point: float | None   # a/(a+b) when ab > 0
-    log_residuals: tuple[float, ...] # a ln r + b ln(1-r) - log_c at each root
-
-
-def beta_kernel_roots(a: float, b: float, log_c: float) -> RootSet:
-    """All roots of x^a (1-x)^b = c on (0, 1), given log_c = ln c.
+def beta_kernel_roots(a: float, b: float, log_c: float) -> tuple[float, ...]:
+    """All roots of x^a (1-x)^b = c on (0, 1), ascending, given log_c = ln c.
 
     Solved in log-odds coordinates s = ln(x/(1-x)) so roots close to either
     endpoint keep relative accuracy; bisection brackets each root and a few
@@ -124,11 +111,8 @@ def beta_kernel_roots(a: float, b: float, log_c: float) -> RootSet:
         return s
 
     s_roots: list[float] = []
-    stationary: float | None = None
     if a * b > 0.0:
-        regime = "unimodal"
         s_star = math.log(a / b)  # x* = a/(a+b)
-        stationary = a / (a + b)
         g_star = g(s_star)
         if abs(g_star) <= _TANGENCY_TOL:
             s_roots.append(s_star)
@@ -140,19 +124,11 @@ def beta_kernel_roots(a: float, b: float, log_c: float) -> RootSet:
                 for lo, hi in ((-_S_BOUND, s_star), (s_star, _S_BOUND)):
                     if g(lo) * g(hi) < 0.0:
                         s_roots.append(refine(lo, hi))
-    else:
-        regime = "monotone"
-        if g(-_S_BOUND) * g(_S_BOUND) < 0.0:
-            s_roots.append(refine(-_S_BOUND, _S_BOUND))
+    elif g(-_S_BOUND) * g(_S_BOUND) < 0.0:
+        s_roots.append(refine(-_S_BOUND, _S_BOUND))
 
-    s_roots.sort()  # the logistic cdf is increasing: x-order matches s-order
-    roots = tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in s_roots)
-    # residuals evaluated in log-odds coordinates: log1p(-x) at an x rounded
-    # to double loses ~|b| * eps / (1-x), which swamps the true residual for
-    # roots pinned against an endpoint
-    residuals = tuple(g(s) for s in s_roots)
-    return RootSet(a=a, b=b, log_c=log_c, regime=regime, roots=roots,
-                   stationary_point=stationary, log_residuals=residuals)
+    # the logistic cdf is increasing: x-order matches s-order
+    return tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in sorted(s_roots))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +162,24 @@ def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, ...
     if exp_a == 0 and exp_b == 0:
         return ()
     log_c = log_beta(a.alpha, a.beta) - log_beta(b.alpha, b.beta)
-    return beta_kernel_roots(float(exp_a), float(exp_b), log_c).roots
+    return beta_kernel_roots(float(exp_a), float(exp_b), log_c)
+
+
+def _ss_verdict(
+    frame: str, a: OrderStatSpec, b: OrderStatSpec, z_points, refuted: str
+) -> OrderVerdict:
+    """The ss verdict on the smallest Z among the (x, Z(x)) pairs that
+    z_points(a, b) lists; the first of equal values is the witness."""
+    if a == b:
+        return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
+                            f"{frame}: identical specs, Z == 0")
+    z_arg, z_min = min(z_points(a, b), key=lambda p: p[1])
+    status = VerdictStatus.HOLDS if z_min >= -_HOLDS_TOL else VerdictStatus.UNDETERMINED
+    return OrderVerdict(
+        "ss", status, z_min, 0.0,
+        f"{frame}: inf Z = {z_min:.6e} at x = {z_arg:.9f}"
+        + ("" if status is VerdictStatus.HOLDS else f" (negative witness: no ss-dominance {refuted})"),
+    )
 
 
 def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
@@ -199,19 +192,11 @@ def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     vocabulary because for a general DDA parent only the positive direction
     transfers.
     """
-    if a == b:
-        return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
-                            "DDA: identical specs, Z == 0")
-    candidates = [0.0, 1.0, *_critical_candidates(a, b)]
-    vals = [ss_margin_dda(a, b, x) for x in candidates]
-    z_min = min(vals)
-    z_arg = candidates[vals.index(z_min)]
-    status = VerdictStatus.HOLDS if z_min >= -_HOLDS_TOL else VerdictStatus.UNDETERMINED
-    return OrderVerdict(
-        "ss", status, z_min, 0.0,
-        f"DDA: inf Z = {z_min:.6e} at x = {z_arg:.9f}"
-        + ("" if status is VerdictStatus.HOLDS else " (negative witness: no ss-dominance of the beta variables)"),
-    )
+    return _ss_verdict("DDA", a, b, _dda_points, "of the beta variables")
+
+
+def _dda_points(a: OrderStatSpec, b: OrderStatSpec) -> list[tuple[float, float]]:
+    return [(x, ss_margin_dda(a, b, x)) for x in (0.0, 1.0, *_critical_candidates(a, b))]
 
 
 # ---------------------------------------------------------------------------
@@ -259,28 +244,12 @@ def _exp_tail_quad(s: OrderStatSpec, x: float) -> float:
     )
 
 
-def ss_margin_dhra(
-    a: OrderStatSpec, b: OrderStatSpec, x: float, *, method: str = "auto"
-) -> float:
-    """Z(x) for the exponential frame: difference of the two tail integrals.
-
-    method="auto" uses the closed form when its condition number stays below
-    1e8 and falls back to adaptive quadrature otherwise; "series" and "quad"
-    force one path (used by the agreement tests).
-    """
-    if x < 0.0:
+def ss_margin_dhra(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
+    """Z(x) for the exponential frame: difference of the two tail integrals,
+    each by adaptive quadrature; Z(inf) = 0."""
+    if not x >= 0.0:
         raise ValueError(f"ss_margin_dhra needs x >= 0, got {x}")
-    if method not in ("auto", "series", "quad"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "quad":
-        return _exp_tail_quad(a, x) - _exp_tail_quad(b, x)
-    va, ca = _exp_tail_series(a, x)
-    vb, cb = _exp_tail_series(b, x)
-    if method == "series":
-        return va - vb
-    if max(ca, cb) >= _SERIES_COND_LIMIT:
-        return _exp_tail_quad(a, x) - _exp_tail_quad(b, x)
-    return va - vb
+    return _exp_tail_quad(a, x) - _exp_tail_quad(b, x)
 
 
 def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
@@ -292,31 +261,24 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     runs on the closed form where well conditioned, with the most negative
     grid points re-verified by quadrature before they can decide a verdict.
     """
-    if a == b:
-        return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
-                            "DHRA: identical specs, Z == 0")
-    z0 = _exp_mean(a) - _exp_mean(b)
-    cand_x = [-math.log1p(-r) for r in _critical_candidates(a, b)]
-    cand_vals = [z0] + [ss_margin_dhra(a, b, x, method="quad") for x in cand_x]
-    cand_pts = [0.0] + cand_x
-    # Z -> 0 at infinity; the infimum candidate 0.0 never flips a verdict but
-    # keeps the reported minimum honest when Z > 0 on the whole interior.
-    cand_vals.append(0.0)
-    cand_pts.append(math.inf)
-    cand_min = min(cand_vals)
-    cand_arg = cand_pts[cand_vals.index(cand_min)]
+    return _ss_verdict("DHRA", a, b, _dhra_points, "in the exponential frame")
 
-    grid_min, grid_arg = _dhra_grid_minimum(a, b)
-    z_min, z_arg = (cand_min, cand_arg) if cand_min <= grid_min else (grid_min, grid_arg)
-    status = VerdictStatus.HOLDS if z_min >= -_HOLDS_TOL else VerdictStatus.UNDETERMINED
-    return OrderVerdict(
-        "ss", status, z_min, 0.0,
-        f"DHRA: inf Z = {z_min:.6e} at x = {z_arg:.9f}"
-        + ("" if status is VerdictStatus.HOLDS else " (negative witness: no ss-dominance in the exponential frame)"),
-    )
+
+def _dhra_points(a: OrderStatSpec, b: OrderStatSpec) -> list[tuple[float, float]]:
+    cand_x = [-math.log1p(-r) for r in _critical_candidates(a, b)]
+    return [
+        (0.0, _exp_mean(a) - _exp_mean(b)),
+        *((x, ss_margin_dhra(a, b, x)) for x in cand_x),
+        # Z -> 0 at infinity; the infimum candidate 0.0 never flips a verdict
+        # but keeps the reported minimum honest when Z > 0 on the whole
+        # interior.  The grid minimum comes last, so candidates win ties.
+        (math.inf, 0.0),
+        _dhra_grid_minimum(a, b),
+    ]
 
 
 def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float]:
+    """(x, Z(x)) at the sign grid's smallest Z."""
     import numpy as np  # here, not at the top: the uniform frame needs no numpy
 
     # Probe the series conditioning first; badly conditioned pairs get a
@@ -342,14 +304,14 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
         # cancellation noise cannot manufacture a negative minimum
         order = np.argsort(zs)
         for k in order[:16]:
-            zs[k] = ss_margin_dhra(a, b, float(xs_all[k]), method="quad")
+            zs[k] = ss_margin_dhra(a, b, float(xs_all[k]))
         k = int(np.argmin(zs))
-        return float(zs[k]), float(xs_all[k])
+        return float(xs_all[k]), float(zs[k])
     rs = np.linspace(0.0, 1.0 - 1e-9, 401)
     xs_all = -np.log1p(-rs)
-    zs = np.array([ss_margin_dhra(a, b, float(x), method="quad") for x in xs_all])
+    zs = np.array([ss_margin_dhra(a, b, float(x)) for x in xs_all])
     k = int(np.argmin(zs))
-    return float(zs[k]), float(xs_all[k])
+    return float(xs_all[k]), float(zs[k])
 
 
 def _series_pair(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
@@ -384,28 +346,23 @@ class RegionMap:
                 lines.append(f"{i},{j},{self.cells[(i, j)].value}")
         return "\n".join(lines) + "\n"
 
-    def boundary_series(self) -> dict[str, list[tuple[int, float]]]:
-        """Plot data for the two straight reference lines of the map."""
-        return {
-            "first_order_line": [(i, float(i + self.m - self.n)) for i in range(1, self.n + 1)],
-            "zero_mean_line": [
-                (i, (self.m + 1.0) / (self.n + 1.0) * i) for i in range(1, self.n + 1)
-            ],
-        }
-
     def to_json_obj(self) -> dict:
+        rows = range(1, self.n + 1)
         return {
             "frame": self.frame,
             "n": self.n,
             "m": self.m,
             "cells": [
                 {"i": i, "j": j, "class": self.cells[(i, j)].value}
-                for i in range(1, self.n + 1)
+                for i in rows
                 for j in range(1, self.m + 1)
             ],
+            # plot data for the two straight reference lines of the map
             "boundaries": {
-                name: [{"i": i, "j": j} for (i, j) in pts]
-                for name, pts in self.boundary_series().items()
+                "first_order_line": [{"i": i, "j": float(i + self.m - self.n)} for i in rows],
+                "zero_mean_line": [
+                    {"i": i, "j": (self.m + 1.0) / (self.n + 1.0) * i} for i in rows
+                ],
             },
         }
 

@@ -278,16 +278,16 @@ def test_accept_8_root_counts():
         if a * b > 0 and abs(x0 - a / (a + b)) < 0.05:
             continue  # too close to a tangency, ill posed for any method
         c = x0**a * (1.0 - x0) ** b
-        rs = beta_kernel_roots(a, b, math.log(c))
-        if any(r < 0.002 or r > 0.998 for r in rs.roots):
+        roots = beta_kernel_roots(a, b, math.log(c))
+        if any(r < 0.002 or r > 0.998 for r in roots):
             continue  # outside what the fixed scan can resolve
-        if len(rs.roots) == 2 and rs.roots[1] - rs.roots[0] < 0.004:
+        if len(roots) == 2 and roots[1] - roots[0] < 0.004:
             continue  # closer than the scan spacing
         limit = 2 if a * b > 0 else 1
         vals = a * np.log(xs) + b * np.log1p(-xs) - math.log(c)
         scan_count = int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
-        if len(rs.roots) > limit or scan_count != len(rs.roots):
-            failures.append((a, b, c, len(rs.roots), scan_count))
+        if len(roots) > limit or scan_count != len(roots):
+            failures.append((a, b, c, len(roots), scan_count))
         checked += 1
     _report(8, not failures,
             f"500 cases, scan agreed on every root count"

@@ -62,6 +62,8 @@ def test_upper_partial_mean_rejects_bad_input():
     with pytest.raises(ValueError):
         upper_partial_mean(w, -0.5)
     with pytest.raises(ValueError):
+        upper_partial_mean(TransformedOrderStat(R.EXPONENTIAL, OrderStatSpec(2, 3)), math.nan)
+    with pytest.raises(ValueError):
         upper_partial_mean(TransformedOrderStat(R.LOGISTIC, OrderStatSpec(1, 2)), 0.1)
 
 
