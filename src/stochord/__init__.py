@@ -11,7 +11,7 @@ Layering, bottom up:
     specfun     harmonic sums, log-beta, regularised incomplete beta
     refdist     the six reference distributions, the beta spec (i, n) and
                 the one table of transformed means E[G^{-1}(B_{i:n})]
-    orderstat   transformed order statistics and their partial means
+    orderstat   the law G^{-1}(B_{i:n}) and the DHRA partial mean
     conditions  icv/icx checks: rank precondition, then two table means
     ssverify    the star-shaped criterion, root solver, and region maps
     bounds      exceedance bounds and the empirical plug-in interval
@@ -38,7 +38,6 @@ _EXPORTS = {
         "OrderStatSpec",
         "SupportClampWarning",
         "cdf",
-        "quantile",
         "expected_transformed_orderstat",
     ),
     "orderstat": ("TransformedOrderStat", "upper_partial_mean"),

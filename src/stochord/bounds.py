@@ -210,11 +210,12 @@ def _harmonic_tails(n: int) -> list[float]:
     return tails
 
 
-def bound_table_csv(n: int, *, digits: int = 3) -> str:
+def bound_table_csv(n: int) -> str:
+    """bound_table(n) as CSV, each value to 3 decimals."""
     header = "G," + ",".join(str(i) for i in range(1, n + 1))
     lines = [header]
     for label, values in bound_table(n):
-        lines.append(label + "," + ",".join(f"{v:.{digits}f}" for v in values))
+        lines.append(label + "," + ",".join(f"{v:.3f}" for v in values))
     return "\n".join(lines) + "\n"
 
 

@@ -213,11 +213,10 @@ def region(class_name: str, n: int, m: int, csv_path, json_path) -> int:
 @cli.command("bounds-table")
 @click.option("-n", "n", required=True, type=click.IntRange(min=1),
               help="Sample size; columns run i = 1..n.")
-@click.option("--digits", default=3, type=click.IntRange(min=1, max=12), show_default=True)
 @click.option("--csv", "csv_path", default=None, type=click.Path(dir_okay=False))
-def bounds_table_cmd(n: int, digits: int, csv_path) -> int:
+def bounds_table_cmd(n: int, csv_path) -> int:
     """Exceedance-bound table: rows LL, E, U, E- by reference, columns by rank."""
-    text = bound_table_csv(n, digits=digits)
+    text = bound_table_csv(n)
     if csv_path:
         _write_atomic(csv_path, text)
     else:

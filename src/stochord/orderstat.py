@@ -1,11 +1,11 @@
-"""Distributions of transformed beta order statistics.
+"""Transformed beta order statistics and the exponential-frame partial mean.
 
 A TransformedOrderStat is the law of W = G^{-1}(B_{i:n}) for a reference
-distribution G.  Its upper partial mean is computed by adaptive quadrature
-in the W variable, which keeps integrable endpoint singularities away from
-the integrator.  The quadrature route is deliberately independent of the
-closed-form expressions elsewhere in the package: it is what they are
-tested against.
+distribution G; the oracle and the `probe` command take their arguments in
+that form.  upper_partial_mean is E[W 1{W > x}] in the exponential frame,
+W = -log(1 - B_{i:n}), by adaptive quadrature in the W variable, which
+keeps the integrable endpoint singularity away from the integrator.  It
+evaluates the DHRA criterion in ssverify.
 """
 
 from __future__ import annotations
@@ -38,65 +38,23 @@ class TransformedOrderStat:
     spec: OrderStatSpec
 
 
-def upper_partial_mean(t: TransformedOrderStat, x: float) -> float:
-    """E[W 1{W > x}] for W = G^{-1}(B_{i:n}), nonnegative-support G only.
+def upper_partial_mean(s: OrderStatSpec, x: float) -> float:
+    """E[W 1{W > x}] for W = -log(1 - B_{i:n}), the exponential frame.
 
-    Integrates w * f_W(w) over (x, sup) by adaptive quadrature after a
-    change of variables into the W domain:
-
-      uniform         f_W(w) = f_B(w)                     on (0, 1)
-      exponential     f_W(w) = f_B(1-e^-w) e^-w           on (0, inf)
-      log-logistic-1  f_W(w) = f_B(w/(1+w)) / (1+w)^2     on (0, inf)
-
-    For the log-logistic frame with i = n the integral diverges and +inf is
-    returned.
+    Integrates w f_W(w) over (x, inf) by adaptive quadrature, with the
+    density f_W(w) = f_B(1 - e^-w) e^-w.
     """
     if not x >= 0.0:
         raise ValueError(f"upper_partial_mean needs x >= 0, got {x}")
-    dist, s = t.dist, t.spec
-    if not dist.nonnegative:
-        raise ValueError(
-            f"upper_partial_mean supports nonnegative-support references only, got {dist.value}"
-        )
-    if dist is ReferenceDistribution.UNIFORM:
-        if x >= 1.0:
+    a, b = s.alpha, s.beta
+    lb = log_beta(a, b)
+
+    def integrand(w: float) -> float:
+        # w * beta_pdf(1-e^-w) * e^-w, all in log space first
+        if w <= 0.0:
             return 0.0
-        a, b = s.alpha, s.beta
-        lb = log_beta(a, b)
+        log_u = math.log(-math.expm1(-w))  # log(1 - e^-w)
+        return w * math.exp((a - 1) * log_u - b * w - lb)
 
-        def integrand(w: float) -> float:
-            # w * beta_pdf(w), the density in log space first
-            if not 0.0 < w < 1.0:
-                return 0.0
-            return w * math.exp((a - 1) * math.log(w) + (b - 1) * math.log1p(-w) - lb)
-
-        value, _ = quad(integrand, x, 1.0, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
-        return value
-    if dist is ReferenceDistribution.EXPONENTIAL:
-        a, b = s.alpha, s.beta
-        lb = log_beta(a, b)
-
-        def integrand(w: float) -> float:
-            # w * beta_pdf(1-e^-w) * e^-w, all in log space first
-            if w <= 0.0:
-                return 0.0
-            log_u = math.log(-math.expm1(-w))  # log(1 - e^-w)
-            return w * math.exp((a - 1) * log_u - b * w - lb)
-
-        value, _ = quad(integrand, x, math.inf, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
-        return value
-    if dist is ReferenceDistribution.LOG_LOGISTIC_1:
-        if s.i == s.n:
-            return math.inf
-        a, b = s.alpha, s.beta
-        lb = log_beta(a, b)
-
-        def integrand(w: float) -> float:
-            if w <= 0.0:
-                return 0.0
-            # f_W(w) = w^(a-1) / (1+w)^(a+b) / B(a,b)
-            return w * math.exp((a - 1) * math.log(w) - (a + b) * math.log1p(w) - lb)
-
-        value, _ = quad(integrand, x, math.inf, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
-        return value
-    raise AssertionError(dist)
+    value, _ = quad(integrand, x, math.inf, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
+    return value

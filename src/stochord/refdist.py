@@ -22,7 +22,6 @@ __all__ = [
     "OrderStatSpec",
     "SupportClampWarning",
     "cdf",
-    "quantile",
     "expected_transformed_orderstat",
 ]
 
@@ -42,10 +41,6 @@ class ReferenceDistribution(enum.Enum):
     @property
     def support(self) -> tuple[float, float]:
         return _SUPPORT[self]
-
-    @property
-    def nonnegative(self) -> bool:
-        return _SUPPORT[self][0] >= 0.0
 
 
 _SUPPORT = {
@@ -119,25 +114,6 @@ def cdf(dist: ReferenceDistribution, x: float) -> float:
         return math.exp(x)
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
         return 1.0 / (1.0 - x) if math.isfinite(x) else 0.0
-    raise AssertionError(dist)
-
-
-def quantile(dist: ReferenceDistribution, p: float) -> float:
-    """G^{-1}(p) for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile needs p in (0, 1), got {p}")
-    if dist is ReferenceDistribution.UNIFORM:
-        return p
-    if dist is ReferenceDistribution.EXPONENTIAL:
-        return -math.log1p(-p)
-    if dist is ReferenceDistribution.LOGISTIC:
-        return math.log(p / (1.0 - p))
-    if dist is ReferenceDistribution.LOG_LOGISTIC_1:
-        return p / (1.0 - p)
-    if dist is ReferenceDistribution.NEG_EXPONENTIAL:
-        return math.log(p)
-    if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
-        return -(1.0 - p) / p
     raise AssertionError(dist)
 
 

@@ -2,8 +2,8 @@
 
 Everything downstream (moment formulas, comparison conditions, the
 star-shaped-order criterion) reduces to three primitives: partial harmonic
-sums (which also give the digamma differences at integer ranks), the log
-beta function, and the regularized incomplete beta function.  They are
+sums (the exponential-family means of refdist's table), the log beta
+function, and the regularized incomplete beta function.  They are
 implemented here without reaching for scipy so the test suite can check
 them against an independent library.
 """

@@ -16,11 +16,12 @@ B_{j:m} those are the roots in (0, 1) of the kernel equation
 
     x^(i-j) (1-x)^((n-i)-(m-j)) = B(i, n-i+1) / B(j, m-j+1),
 
-taken at r = 1 - e^-x in the exponential frame.  The minimum of Z is
-therefore attained at an endpoint or at a kernel root, and the uniform
-frame decides its verdict from those few points alone.  The solver takes
-the constant as its logarithm, a difference of log-betas, which stays
-finite where the ratio itself overflows or underflows.
+taken at r = 1 - e^-x in the exponential frame, where x = log(1 + e^s)
+comes from the root's log-odds s and stays finite as r rounds to 1.  The
+minimum of Z is therefore attained at an endpoint or at a kernel root, and
+the uniform frame decides its verdict from those few points alone.  The
+solver takes the constant as its logarithm, a difference of log-betas,
+which stays finite where the ratio itself overflows or underflows.
 
 The exponential frame still pairs its roots with a sign grid.  Z at the
 candidates, and at the grid points that decide its minimum, comes from
@@ -74,6 +75,12 @@ def beta_kernel_roots(a: float, b: float, log_c: float) -> tuple[float, ...]:
     one root) and single-peaked/single-dipped when ab > 0 (at most two,
     with a tangency collapsing them onto the stationary point a/(a+b)).
     """
+    # the logistic cdf is increasing: x-order matches s-order
+    return tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in _kernel_log_odds(a, b, log_c))
+
+
+def _kernel_log_odds(a: float, b: float, log_c: float) -> tuple[float, ...]:
+    """The roots of beta_kernel_roots as log-odds s, ascending."""
     if a == 0.0 and b == 0.0:
         raise ValueError("beta_kernel_roots needs (a, b) != (0, 0)")
     if not math.isfinite(log_c):
@@ -126,9 +133,7 @@ def beta_kernel_roots(a: float, b: float, log_c: float) -> tuple[float, ...]:
                         s_roots.append(refine(lo, hi))
     elif g(-_S_BOUND) * g(_S_BOUND) < 0.0:
         s_roots.append(refine(-_S_BOUND, _S_BOUND))
-
-    # the logistic cdf is increasing: x-order matches s-order
-    return tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in sorted(s_roots))
+    return tuple(sorted(s_roots))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +160,15 @@ def ss_margin_dda(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
     return ta - tb
 
 
-def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, ...]:
-    """Crossings of the beta densities of a and b in (0, 1), ascending."""
+def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec, solve) -> tuple[float, ...]:
+    """Crossings of the beta densities of a and b, ascending, as solve
+    (beta_kernel_roots or _kernel_log_odds) returns the kernel's roots."""
     exp_a = a.i - b.i
     exp_b = (a.n - a.i) - (b.n - b.i)
     if exp_a == 0 and exp_b == 0:
         return ()
     log_c = log_beta(a.alpha, a.beta) - log_beta(b.alpha, b.beta)
-    return beta_kernel_roots(float(exp_a), float(exp_b), log_c)
+    return solve(float(exp_a), float(exp_b), log_c)
 
 
 def _ss_verdict(
@@ -196,7 +202,8 @@ def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 
 
 def _dda_points(a: OrderStatSpec, b: OrderStatSpec) -> list[tuple[float, float]]:
-    return [(x, ss_margin_dda(a, b, x)) for x in (0.0, 1.0, *_critical_candidates(a, b))]
+    xs = (0.0, 1.0, *_critical_candidates(a, b, beta_kernel_roots))
+    return [(x, ss_margin_dda(a, b, x)) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +241,16 @@ def _exp_tail_series(s: OrderStatSpec, x: float) -> tuple[float, float]:
     return total, cond
 
 
-def _exp_tail_quad(s: OrderStatSpec, x: float) -> float:
-    # imported here, not at the top: orderstat loads scipy's quadrature,
-    # which only this fallback needs
-    from .orderstat import TransformedOrderStat, upper_partial_mean
-
-    return upper_partial_mean(
-        TransformedOrderStat(ReferenceDistribution.EXPONENTIAL, s), x
-    )
-
-
 def ss_margin_dhra(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
     """Z(x) for the exponential frame: difference of the two tail integrals,
     each by adaptive quadrature; Z(inf) = 0."""
     if not x >= 0.0:
         raise ValueError(f"ss_margin_dhra needs x >= 0, got {x}")
-    return _exp_tail_quad(a, x) - _exp_tail_quad(b, x)
+    # imported here, not at the top: orderstat loads scipy's quadrature,
+    # which the uniform frame does not need
+    from .orderstat import upper_partial_mean
+
+    return upper_partial_mean(a, x) - upper_partial_mean(b, x)
 
 
 def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
@@ -265,7 +266,8 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 
 
 def _dhra_points(a: OrderStatSpec, b: OrderStatSpec) -> list[tuple[float, float]]:
-    cand_x = [-math.log1p(-r) for r in _critical_candidates(a, b)]
+    # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
+    cand_x = [math.log1p(math.exp(s)) for s in _critical_candidates(a, b, _kernel_log_odds)]
     return [
         (0.0, _exp_mean(a) - _exp_mean(b)),
         *((x, ss_margin_dhra(a, b, x)) for x in cand_x),

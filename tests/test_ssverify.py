@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from stochord.conditions import VerdictStatus
 from stochord.refdist import OrderStatSpec
 from stochord.ssverify import (
     CellClass,
+    _critical_candidates,
     _series_pair,
     beta_kernel_roots,
     check_ss_dda,
@@ -178,6 +180,12 @@ def test_check_ss_dda_holds_case():
     assert check_ss_dda(S(1, 3), S(1, 4)).holds
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the absolute _HOLDS_TOL "
+                   "reads inf Z = -1.458e-13 as Holds")
+def test_check_ss_dda_tiny_negative_minimum_is_not_holds():
+    assert check_ss_dda(S(5, 12), S(2, 8)).status is VerdictStatus.UNDETERMINED
+
+
 def test_candidate_min_matches_dense_grid():
     """Z at the endpoints and the kernel roots is the infimum: no point of a
     dense grid of Z, measured with scipy, lies lower, and the verdict agrees
@@ -309,6 +317,25 @@ def test_check_ss_dhra_refutation():
     v = check_ss_dhra(S(3, 5), S(2, 3))
     assert not v.holds
     assert v.lhs_witness < -1e-6
+
+
+@pytest.mark.parametrize("a, b, inf_z", [
+    (S(2, 138), S(197, 338), -0.872222657908),
+    (S(10, 92), S(310, 393), -1.55022872917),
+])
+def test_check_ss_dhra_root_that_rounds_to_one(a, b, inf_z):
+    """A kernel root within half an ulp of 1 is r = 1.0 as a double, but its
+    log-odds give the finite x = log(1 + e^s)."""
+    assert _critical_candidates(a, b, beta_kernel_roots)[-1] == 1.0
+    v = check_ss_dhra(a, b)
+    assert v.status is VerdictStatus.UNDETERMINED
+    assert v.lhs_witness == pytest.approx(inf_z, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="ROADMAP item 2: _exp_tail_series overflows at n >= about 646")
+def test_check_ss_dhra_large_n_returns_a_verdict():
+    assert check_ss_dhra(S(500, 1000), S(300, 700)).status in VerdictStatus
 
 
 # ---------------------------------------------------------------------------
