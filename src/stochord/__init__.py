@@ -11,7 +11,7 @@ Layering, bottom up:
     specfun     harmonic sums, log-beta, regularised incomplete beta
     refdist     the six reference distributions, the beta spec (i, n) and
                 the one table of transformed means E[G^{-1}(B_{i:n})]
-    orderstat   the law G^{-1}(B_{i:n}) and the DHRA partial mean
+    orderstat   the law G^{-1}(B_{i:n}) that the oracle probes take
     conditions  icv/icx checks: rank precondition, then two table means
     ssverify    the star-shaped criterion, root solver, and region maps
     bounds      exceedance bounds and the empirical plug-in interval
@@ -22,9 +22,9 @@ Importing the package loads none of these.  Each public name below is
 resolved on first use from the submodule that defines it (PEP 562), so a
 caller pays only for the layers it touches: specfun, refdist, conditions,
 bounds and ssverify's DDA frame need nothing but the standard library,
-while orderstat, oracle and ssverify's DHRA frame bring in numpy and
-scipy.  The table lists each submodule's ``__all__`` exactly, no more and
-no less.
+ssverify's DHRA frame brings in numpy for its sign grid, and only
+orderstat and oracle load scipy.  The table lists each submodule's
+``__all__`` exactly, no more and no less.
 """
 
 import importlib
@@ -40,7 +40,7 @@ _EXPORTS = {
         "cdf",
         "expected_transformed_orderstat",
     ),
-    "orderstat": ("TransformedOrderStat", "upper_partial_mean"),
+    "orderstat": ("TransformedOrderStat",),
     "conditions": (
         "ShapeClass",
         "TransformKind",

@@ -15,10 +15,9 @@ u.  That integrand runs once per quadrature node, so it is built once per
 (reference, spec) as a closure over plain ``math``: a scalar quantile for the
 reference, times the density in log space,
 exp((a-1) log u + (b-1) log1p(-u) - betaln(a, b)), with betaln from
-scipy.special computed once.  The density is written out here again on
-purpose, although orderstat.upper_partial_mean integrates the same density
-in the exponential frame: the referee must not share code with what it
-referees.
+scipy.special computed once.  This is the only quadrature in the package:
+the verdicts it referees, DHRA's exponential frame included, are closed
+forms, and the referee must not share code with what it referees.
 
 Characterisations probed, for W_a = G^{-1}(B_{i:n}) and W_b = G^{-1}(B_{j:m})
 with a common reference G:

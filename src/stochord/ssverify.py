@@ -24,11 +24,12 @@ solver takes the constant as its logarithm, a difference of log-betas,
 which stays finite where the ratio itself overflows or underflows.
 
 The exponential frame still pairs its roots with a sign grid.  Z at the
-candidates, and at the grid points that decide its minimum, comes from
-adaptive quadrature.  The grid itself runs on an alternating binomial
-series when a conditioning probe trusts it, and on a coarser quadrature
-grid otherwise; it is the cross-check on the candidates until a closed form
-with positive terms only replaces the series.
+candidates, and at the grid points that decide its minimum, comes from a
+closed form: with P(W > t) = P(Bin(n, 1 - e^-t) <= i-1), each partial mean
+is a finite sum of positive binomial terms, and no quadrature runs.  The
+grid itself runs on an alternating binomial series when a conditioning
+probe trusts it, and on a coarser grid of the closed form otherwise; it is
+the cross-check on the candidates until the closed form replaces it.
 """
 
 from __future__ import annotations
@@ -241,26 +242,50 @@ def _exp_tail_series(s: OrderStatSpec, x: float) -> tuple[float, float]:
     return total, cond
 
 
-def ss_margin_dhra(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
-    """Z(x) for the exponential frame: difference of the two tail integrals,
-    each by adaptive quadrature; Z(inf) = 0."""
-    if not x >= 0.0:
-        raise ValueError(f"ss_margin_dhra needs x >= 0, got {x}")
-    # imported here, not at the top: orderstat loads scipy's quadrature,
-    # which the uniform frame does not need
-    from .orderstat import upper_partial_mean
+def _exp_partial_mean(s: OrderStatSpec, x: float) -> float:
+    """E[W 1{W > x}] for W = -log(1 - B_{i:n}), in closed form.
 
-    return upper_partial_mean(a, x) - upper_partial_mean(b, x)
+    P(W > t) = P(Bin(n, 1 - e^-t) <= i-1), so with r = 1 - e^-x and
+    F_k = P(Bin(n, r) <= k) the partial mean is the positive-term sum
+    x F_{i-1} + sum_{k<i} F_k / (n-k).  The binomial masses start from
+    log P(Bin = 0) = -n x and stay in log space as
+    log C(n, k) + k log r - (n-k) x, with C(n, k) an exact integer and
+    log r = log(-expm1(-x)), so no term overflows at large n or x.
+    """
+    if not x >= 0.0:
+        raise ValueError(f"the exponential-frame partial mean needs x >= 0, got {x}")
+    n = s.n
+    if n * x == math.inf:  # no mass left above x
+        return 0.0
+    log_pmf = [-n * x]
+    log_r = math.log(-math.expm1(-x)) if x > 0.0 else -math.inf
+    binom = 1
+    for k in range(1, s.i):
+        binom = binom * (n - k + 1) // k
+        log_pmf.append(math.log(binom) + k * log_r - (n - k) * x)
+    top = max(log_pmf)
+    cdf = total = 0.0
+    for k, lp in enumerate(log_pmf):
+        cdf += math.exp(lp - top)
+        total += cdf / (n - k)
+    return math.exp(top + math.log(x * cdf + total))
+
+
+def ss_margin_dhra(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
+    """Z(x) for the exponential frame: the difference of the two closed-form
+    partial means; Z(inf) = 0."""
+    return _exp_partial_mean(a, x) - _exp_partial_mean(b, x)
 
 
 def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     """Decide Z >= 0 on [0, inf) for the exponential frame.
 
     Critical points satisfy the same kernel equation as the uniform frame,
-    in the variable r = 1 - e^-x.  Candidate points are evaluated by
-    quadrature (authoritative at the 1e-12 verdict tolerance); the sign grid
-    runs on the closed form where well conditioned, with the most negative
-    grid points re-verified by quadrature before they can decide a verdict.
+    in the variable r = 1 - e^-x.  Candidate points are evaluated by the
+    positive-term closed form of _exp_partial_mean; the sign grid runs on
+    the alternating series where well conditioned, with the most negative
+    grid points re-evaluated by the closed form before they can decide a
+    verdict.
     """
     return _ss_verdict("DHRA", a, b, _dhra_points, "in the exponential frame")
 
@@ -283,13 +308,17 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
     """(x, Z(x)) at the sign grid's smallest Z."""
     import numpy as np  # here, not at the top: the uniform frame needs no numpy
 
-    # Probe the series conditioning first; badly conditioned pairs get a
-    # coarser all-quadrature grid instead.
-    probe_cond = max(
-        _exp_tail_series(s, x)[1]
-        for s in (a, b)
-        for x in (0.0, 0.5, 1.0, 2.0)
-    )
+    # Probe the series conditioning first; badly conditioned pairs, and
+    # those whose series terms overflow (n >= about 646), get a coarser
+    # closed-form grid instead.
+    try:
+        probe_cond = max(
+            _exp_tail_series(s, x)[1]
+            for s in (a, b)
+            for x in (0.0, 0.5, 1.0, 2.0)
+        )
+    except OverflowError:
+        probe_cond = math.inf
     if probe_cond < _SERIES_COND_LIMIT / 10.0:
         rs = np.linspace(0.0, 1.0 - 1e-9, _GRID_POINTS)
         xs_all = -np.log1p(-rs)
@@ -302,8 +331,8 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
             )
             xs_all = np.concatenate([xs_all, extra])
             zs = np.concatenate([zs, [_series_pair(a, b, x) for x in extra]])
-        # re-verify the most suspicious points by quadrature so series
-        # cancellation noise cannot manufacture a negative minimum
+        # re-evaluate the most suspicious points by the closed form so
+        # series cancellation noise cannot manufacture a negative minimum
         order = np.argsort(zs)
         for k in order[:16]:
             zs[k] = ss_margin_dhra(a, b, float(xs_all[k]))

@@ -302,6 +302,21 @@ def test_closed_form_commands_load_no_numpy_or_scipy(argv, data_dir):
     assert proc.stdout.splitlines()[-1] in ("0 []", "2 []")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-ss", "--frame", "DHRA", "--a", "2,3", "--b", "3,5"],
+    ["compare", "--class", "DHRA", "--a", "2,3", "--b", "3,5"],
+    ["region", "--class", "DHRA", "-n", "3", "-m", "4"],
+])
+def test_dhra_commands_load_no_scipy(argv):
+    # DHRA verdicts are closed forms; numpy stays for their sign grid
+    proc = _python("import sys; from stochord.cli import main; "
+                   f"rc = main({argv!r}); print(rc, {_HEAVY})")
+    assert proc.returncode == 0, proc.stderr
+    rc, heavy = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert rc in ("0", "2")
+    assert "scipy" not in heavy, heavy
+
+
 def test_scipy_commands_load_no_scipy_stats():
     argvs = [["probe", "--order", order, "--reference", "exponential",
               "--a", "3,5", "--b", "2,4", "--grid-size", "5"]

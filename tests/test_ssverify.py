@@ -2,7 +2,9 @@
 
 import json
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from stochord.conditions import VerdictStatus
-from stochord.refdist import OrderStatSpec
+from stochord.refdist import OrderStatSpec, ReferenceDistribution, expected_transformed_orderstat
 from stochord.ssverify import (
     CellClass,
     _critical_candidates,
+    _exp_partial_mean,
     _series_pair,
     beta_kernel_roots,
     check_ss_dda,
@@ -258,8 +261,91 @@ def test_z_derivative_sign_pattern_on_band_cell():
 
 
 # ---------------------------------------------------------------------------
-# ss_margin_dhra / check_ss_dhra
+# _exp_partial_mean / ss_margin_dhra / check_ss_dhra
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("i,n", [(1, 1), (1, 4), (3, 4), (5, 9)])
+def test_exp_partial_mean_at_zero_is_the_moment(i, n):
+    s = S(i, n)
+    assert _exp_partial_mean(s, 0.0) == pytest.approx(
+        expected_transformed_orderstat(ReferenceDistribution.EXPONENTIAL, s), rel=1e-15
+    )
+
+
+def test_exp_partial_mean_nonincreasing_to_zero():
+    s = S(3, 6)
+    values = [_exp_partial_mean(s, x) for x in [0.0, 0.5, 1.5, 4.0, 9.0, 40.0, 800.0]]
+    for first, second in zip(values, values[1:]):
+        assert second <= first
+    assert values[-2] == pytest.approx(0.0, abs=1e-10)
+    assert values[-1] == 0.0
+    assert _exp_partial_mean(s, math.inf) == 0.0
+
+
+def test_exp_partial_mean_rejects_bad_input():
+    with pytest.raises(ValueError):
+        _exp_partial_mean(S(1, 2), -0.5)
+    with pytest.raises(ValueError):
+        _exp_partial_mean(S(2, 3), math.nan)
+
+
+def test_exp_partial_mean_against_direct_quadrature():
+    # W-space integral done independently with scipy, pdf via the beta density
+    s = S(3, 7)
+
+    def integrand(t):
+        # log(1 - u) = -t exactly for u = 1 - e^{-t}; avoids log1p(-1) at huge t
+        u = -np.expm1(-t)
+        logpdf = (
+            (s.i - 1) * np.log(u)
+            - (s.n - s.i) * t
+            - float(special.betaln(s.i, s.n - s.i + 1))
+            - t
+        )
+        return t * np.exp(logpdf)
+
+    for x in (0.0, 0.4, 1.1):
+        direct, _ = integrate.quad(integrand, x, np.inf, epsabs=1e-12, limit=300)
+        assert _exp_partial_mean(s, x) == pytest.approx(direct, abs=1e-9)
+
+
+def _exp_partial_mean_mp(s: S, x: float) -> mpmath.mpf:
+    """E[W 1{W > x}] at 40 digits from the binomial sum x F_{i-1} +
+    sum_{k<i} F_k / (n-k), summed directly rather than in log space."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        r = -mpmath.expm1(-x)
+        cdf = total = mpmath.mpf(0)
+        for k in range(s.i):
+            cdf += mpmath.binomial(s.n, k) * r**k * mpmath.exp(-(s.n - k) * x)
+            total += cdf / (s.n - k)
+        return x * cdf + total
+
+
+@pytest.mark.parametrize("i,n,x", [(1, 1, 0.3), (3, 7, 1.1), (11, 12, 4.0), (5, 9, 0.0)])
+def test_exp_partial_mean_sum_is_the_defining_integral(i, n, x):
+    # the binomial identity behind the closed form, at 40 digits: the sum
+    # equals int_x^inf w f_W(w) dw with f_W(w) = f_B(1 - e^-w) e^-w
+    with mpmath.workdps(40):
+        def density_times_w(w):
+            u = -mpmath.expm1(-w)
+            return w * u ** (i - 1) * mpmath.exp(-(n - i + 1) * w) / mpmath.beta(i, n - i + 1)
+
+        direct = mpmath.quad(density_times_w, [x, x + 1, x + 10, mpmath.inf])
+        assert abs(direct - _exp_partial_mean_mp(S(i, n), x)) < mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("i,n,x", [
+    (1, 1, 0.3), (3, 7, 1.1), (11, 12, 4.0), (5, 9, 30.0),
+    (300, 700, 1.0), (300, 700, 1.788313788), (500, 1000, 1.788313788),
+    (500, 1000, 0.1), (999, 1000, 10.0), (1000, 1000, 2.5), (1, 1000, 0.25),
+])
+def test_exp_partial_mean_against_mpmath(i, n, x):
+    # values from O(1) down to about 1e-130 keep their relative accuracy
+    want = _exp_partial_mean_mp(S(i, n), x)
+    assert want > 1e-131
+    assert _exp_partial_mean(S(i, n), x) == pytest.approx(float(want), rel=1e-12)
 
 
 def _z_dhra_quad(a: S, b: S, x: float) -> float:
@@ -282,9 +368,9 @@ def test_dhra_series_matches_quadrature(pair):
     a, b = pair
     for x in (0.0, 0.3, 1.0, 2.5):
         series = _series_pair(a, b, x)
-        quad = ss_margin_dhra(a, b, x)
-        assert series == pytest.approx(quad, abs=1e-9)
-        assert quad == pytest.approx(_z_dhra_quad(a, b, x), abs=1e-8)
+        closed = ss_margin_dhra(a, b, x)
+        assert series == pytest.approx(closed, abs=1e-12)
+        assert closed == pytest.approx(_z_dhra_quad(a, b, x), abs=1e-8)
 
 
 def test_dhra_margin_agrees_with_scipy_quad():
@@ -332,10 +418,21 @@ def test_check_ss_dhra_root_that_rounds_to_one(a, b, inf_z):
     assert v.lhs_witness == pytest.approx(inf_z, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="ROADMAP item 2: _exp_tail_series overflows at n >= about 646")
 def test_check_ss_dhra_large_n_returns_a_verdict():
-    assert check_ss_dhra(S(500, 1000), S(300, 700)).status in VerdictStatus
+    # the alternating series overflows at n >= about 646; such pairs take
+    # the closed-form grid instead
+    start = time.perf_counter()
+    verdict = check_ss_dhra(S(500, 1000), S(300, 700))
+    assert time.perf_counter() - start < 2.0
+    assert verdict.status in VerdictStatus
+    assert math.isfinite(verdict.lhs_witness)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the absolute _HOLDS_TOL "
+                   "reads inf Z = -1.8e-130 as Holds")
+def test_check_ss_dhra_tiny_negative_minimum_is_not_holds():
+    # 60-digit mpmath gives Z(1.788313788) = -1.823e-130 and Z(2.5) = -7.8e-241
+    assert check_ss_dhra(S(500, 1000), S(300, 700)).status is VerdictStatus.UNDETERMINED
 
 
 # ---------------------------------------------------------------------------
