@@ -16,20 +16,19 @@ B_{j:m} those are the roots in (0, 1) of the kernel equation
 
     x^(i-j) (1-x)^((n-i)-(m-j)) = B(i, n-i+1) / B(j, m-j+1),
 
-taken at r = 1 - e^-x in the exponential frame, where x = log(1 + e^s)
-comes from the root's log-odds s and stays finite as r rounds to 1.  The
-minimum of Z is therefore attained at an endpoint or at a kernel root, and
-the uniform frame decides its verdict from those few points alone.  The
-solver takes the constant as its logarithm, a difference of log-betas,
-which stays finite where the ratio itself overflows or underflows.
+taken at r = 1 - e^-x in the exponential frame.  The solver takes the
+constant as its logarithm, a difference of log-betas, which stays finite
+where the ratio itself overflows or underflows, and returns log-odds s,
+read as x = 1/(1 + e^-s) or x = log(1 + e^s), finite as r rounds to 1.
 
-The exponential frame still pairs its roots with a sign grid.  Z at the
-candidates, and at the grid points that decide its minimum, comes from a
-closed form: with P(W > t) = P(Bin(n, 1 - e^-t) <= i-1), each partial mean
-is a finite sum of positive binomial terms, and no quadrature runs.  The
-grid itself runs on an alternating binomial series when a conditioning
-probe trusts it, and on a coarser grid of the closed form otherwise; it is
-the cross-check on the candidates until the closed form replaces it.
+So both frames take the minimum of Z over one candidate list: x = 0, where
+Z is a difference of two entries of refdist's table of means, the kernel
+roots, and the right end of the support, where Z = 0.  At the roots the
+uniform frame reads the incomplete beta function and the exponential frame
+a finite sum of positive binomial terms, as P(W > t) = P(Bin(n, 1 - e^-t)
+<= i-1); no quadrature runs.  The exponential frame appends the minimum of
+a sign grid, on an alternating binomial series where a conditioning probe
+trusts it and on the closed form otherwise, as a cross-check.
 """
 
 from __future__ import annotations
@@ -71,10 +70,13 @@ def beta_kernel_roots(a: float, b: float, log_c: float) -> tuple[float, ...]:
     """All roots of x^a (1-x)^b = c on (0, 1), ascending, given log_c = ln c.
 
     Solved in log-odds coordinates s = ln(x/(1-x)) so roots close to either
-    endpoint keep relative accuracy; bisection brackets each root and a few
-    Newton steps polish it.  The kernel is monotone when ab <= 0 (at most
-    one root) and single-peaked/single-dipped when ab > 0 (at most two,
-    with a tangency collapsing them onto the stationary point a/(a+b)).
+    endpoint keep relative accuracy.  Bisection alone suffices: 64 halvings
+    of the +-700 bracket leave it 1400/2^64 ~ 7.6e-17 (or one ulp of s)
+    wide, a relative change in x = 1/(1 + e^-s) or log(1 + e^s) below half
+    a double's spacing, so Newton steps could only move last bits.  The
+    kernel is monotone when ab <= 0 (at most one root) and single-peaked/
+    single-dipped when ab > 0 (at most two, with a tangency collapsing them
+    onto the stationary point a/(a+b)).
     """
     # the logistic cdf is increasing: x-order matches s-order
     return tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in _kernel_log_odds(a, b, log_c))
@@ -90,33 +92,18 @@ def _kernel_log_odds(a: float, b: float, log_c: float) -> tuple[float, ...]:
     def g(s: float) -> float:
         return a * _log_sigmoid(s) + b * _log_sigmoid(-s) - log_c
 
-    def g_prime(s: float) -> float:
-        x = cdf(ReferenceDistribution.LOGISTIC, s)
-        return a * (1.0 - x) - b * x
-
     def refine(lo: float, hi: float) -> float:
         glo = g(lo)
         for _ in range(64):
             mid = 0.5 * (lo + hi)
             gm = g(mid)
             if gm == 0.0:
-                lo = hi = mid
-                break
+                return mid
             if (gm < 0.0) == (glo < 0.0):
                 lo, glo = mid, gm
             else:
                 hi = mid
-        s = 0.5 * (lo + hi)
-        for _ in range(3):
-            gp = g_prime(s)
-            if gp == 0.0:
-                break
-            step = g(s) / gp
-            s_new = s - step
-            if not lo <= s_new <= hi:
-                break
-            s = s_new
-        return s
+        return 0.5 * (lo + hi)
 
     s_roots: list[float] = []
     if a * b > 0.0:
@@ -161,26 +148,38 @@ def ss_margin_dda(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
     return ta - tb
 
 
-def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec, solve) -> tuple[float, ...]:
-    """Crossings of the beta densities of a and b, ascending, as solve
-    (beta_kernel_roots or _kernel_log_odds) returns the kernel's roots."""
+def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, ...]:
+    """Crossings of the beta densities of a and b, ascending, as the log-odds
+    of the kernel's roots."""
     exp_a = a.i - b.i
     exp_b = (a.n - a.i) - (b.n - b.i)
-    if exp_a == 0 and exp_b == 0:
-        return ()
     log_c = log_beta(a.alpha, a.beta) - log_beta(b.alpha, b.beta)
-    return solve(float(exp_a), float(exp_b), log_c)
+    return _kernel_log_odds(float(exp_a), float(exp_b), log_c)
+
+
+def _candidate_points(ref: ReferenceDistribution, a: OrderStatSpec, b: OrderStatSpec,
+                      to_x, margin) -> list[tuple[float, float]]:
+    """(x, Z(x)) at x = 0, at each kernel root and at the right end of ref's
+    support, in that order.  Z(0) is a difference of two entries of the table
+    of transformed means and Z vanishes at the right end, so only the roots,
+    mapped from log-odds by to_x, need the frame's margin."""
+    z0 = expected_transformed_orderstat(ref, a) - expected_transformed_orderstat(ref, b)
+    return [
+        (0.0, z0),
+        *((x, margin(a, b, x)) for x in map(to_x, _critical_candidates(a, b))),
+        (ref.support[1], 0.0),
+    ]
 
 
 def _ss_verdict(
     frame: str, a: OrderStatSpec, b: OrderStatSpec, z_points, refuted: str
 ) -> OrderVerdict:
     """The ss verdict on the smallest Z among the (x, Z(x)) pairs that
-    z_points(a, b) lists; the first of equal values is the witness."""
+    z_points() lists; the first of equal values is the witness."""
     if a == b:
         return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
                             f"{frame}: identical specs, Z == 0")
-    z_arg, z_min = min(z_points(a, b), key=lambda p: p[1])
+    z_arg, z_min = min(z_points(), key=lambda p: p[1])
     status = VerdictStatus.HOLDS if z_min >= -_HOLDS_TOL else VerdictStatus.UNDETERMINED
     return OrderVerdict(
         "ss", status, z_min, 0.0,
@@ -192,29 +191,22 @@ def _ss_verdict(
 def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     """Decide Z >= 0 on [0, 1] for the uniform frame.
 
-    Evaluates Z at the endpoints and at every kernel root, which together
-    hold the minimum of Z.  A negative minimum is a genuine refutation of
-    B_{i:n} >=_ss B_{j:m} (the criterion is two-sided for the beta
-    variables themselves), but the verdict stays in Holds/Undetermined
-    vocabulary because for a general DDA parent only the positive direction
-    transfers.
+    Z(0) = i/(n+1) - j/(m+1) from the table of means, Z(1) = 0 and Z at
+    every kernel root hold the minimum of Z.  A negative minimum is a
+    genuine refutation of B_{i:n} >=_ss B_{j:m} (the criterion is two-sided
+    for the beta variables themselves), but the verdict stays in
+    Holds/Undetermined vocabulary because for a general DDA parent only the
+    positive direction transfers.
     """
-    return _ss_verdict("DDA", a, b, _dda_points, "of the beta variables")
-
-
-def _dda_points(a: OrderStatSpec, b: OrderStatSpec) -> list[tuple[float, float]]:
-    xs = (0.0, 1.0, *_critical_candidates(a, b, beta_kernel_roots))
-    return [(x, ss_margin_dda(a, b, x)) for x in xs]
+    return _ss_verdict("DDA", a, b, lambda: _candidate_points(
+        ReferenceDistribution.UNIFORM, a, b,
+        lambda s: cdf(ReferenceDistribution.LOGISTIC, s), ss_margin_dda,
+    ), "of the beta variables")
 
 
 # ---------------------------------------------------------------------------
 # exponential frame (DHRA)
 # ---------------------------------------------------------------------------
-
-def _exp_mean(s: OrderStatSpec) -> float:
-    # E[-log(1 - B_{i:n})]; Z(0) in this frame is the difference of two of these
-    return expected_transformed_orderstat(ReferenceDistribution.EXPONENTIAL, s)
-
 
 def _exp_tail_series(s: OrderStatSpec, x: float) -> tuple[float, float]:
     """Alternating binomial closed form of the exponential-frame tail integral
@@ -281,27 +273,19 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     """Decide Z >= 0 on [0, inf) for the exponential frame.
 
     Critical points satisfy the same kernel equation as the uniform frame,
-    in the variable r = 1 - e^-x.  Candidate points are evaluated by the
-    positive-term closed form of _exp_partial_mean; the sign grid runs on
-    the alternating series where well conditioned, with the most negative
-    grid points re-evaluated by the closed form before they can decide a
-    verdict.
+    in the variable r = 1 - e^-x, so the candidates are those of
+    check_ss_dda with Z(0) a difference of harmonic sums and the roots
+    evaluated by the positive-term closed form of _exp_partial_mean.  The
+    sign grid runs on the alternating series where well conditioned, with
+    the most negative grid points re-evaluated by the closed form before
+    they can decide a verdict.
     """
-    return _ss_verdict("DHRA", a, b, _dhra_points, "in the exponential frame")
-
-
-def _dhra_points(a: OrderStatSpec, b: OrderStatSpec) -> list[tuple[float, float]]:
-    # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
-    cand_x = [math.log1p(math.exp(s)) for s in _critical_candidates(a, b, _kernel_log_odds)]
-    return [
-        (0.0, _exp_mean(a) - _exp_mean(b)),
-        *((x, ss_margin_dhra(a, b, x)) for x in cand_x),
-        # Z -> 0 at infinity; the infimum candidate 0.0 never flips a verdict
-        # but keeps the reported minimum honest when Z > 0 on the whole
-        # interior.  The grid minimum comes last, so candidates win ties.
-        (math.inf, 0.0),
-        _dhra_grid_minimum(a, b),
-    ]
+    return _ss_verdict("DHRA", a, b, lambda: [
+        # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
+        *_candidate_points(ReferenceDistribution.EXPONENTIAL, a, b,
+                           lambda s: math.log1p(math.exp(s)), ss_margin_dhra),
+        _dhra_grid_minimum(a, b),  # last, so the candidates win ties
+    ], "in the exponential frame")
 
 
 def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float]:
@@ -388,17 +372,40 @@ class RegionMap:
                 for i in rows
                 for j in range(1, self.m + 1)
             ],
-            # plot data for the two straight reference lines of the map
+            # plot data for the two reference lines of the map
             "boundaries": {
                 "first_order_line": [{"i": i, "j": float(i + self.m - self.n)} for i in rows],
                 "zero_mean_line": [
-                    {"i": i, "j": (self.m + 1.0) / (self.n + 1.0) * i} for i in rows
+                    {"i": i, "j": _mean_line(self.frame, self.n, self.m, i)} for i in rows
                 ],
             },
         }
 
 
-def _classify_cells(n: int, m: int, frame: str, band_mean_gap, band_check) -> RegionMap:
+def _mean_gap(frame: str, n: int, m: int, i: int, j: int) -> float:
+    """Z(0) for (i, n) against (j, m), up to a positive factor; DDA's is
+    (n+1)(m+1) Z(0), in exact integer arithmetic."""
+    if frame == "DDA":
+        return float(i * (m + 1) - j * (n + 1))
+    ref = ReferenceDistribution.EXPONENTIAL
+    return (expected_transformed_orderstat(ref, OrderStatSpec(i, n))
+            - expected_transformed_orderstat(ref, OrderStatSpec(j, m)))
+
+
+def _mean_line(frame: str, n: int, m: int, i: int) -> float:
+    """The j at which the mean gap of row i changes sign: a band cell lies
+    above it exactly when its mean gap is negative."""
+    if frame == "DDA":
+        return i * (m + 1) / (n + 1)  # one rounding: exact where the line meets an integer j
+    # the gap is >= 0 at j = i since n <= m, and falls by 1/(m-j) from j to
+    # j + 1: interpolate between the last j with gap >= 0 and the next
+    j = i
+    while j < m and _mean_gap(frame, n, m, i, j + 1) >= 0.0:
+        j += 1
+    return j + (m - j) * _mean_gap(frame, n, m, i, j)
+
+
+def _classify_cells(n: int, m: int, frame: str, band_check) -> RegionMap:
     if not 1 <= n <= m:
         raise ValueError(f"region map needs 1 <= n <= m, got n={n} m={m}")
     cells: dict[tuple[int, int], CellClass] = {}
@@ -408,7 +415,7 @@ def _classify_cells(n: int, m: int, frame: str, band_mean_gap, band_check) -> Re
                 cells[(i, j)] = CellClass.HOLDS_SS_IJ
             elif n - i > m - j:
                 cells[(i, j)] = CellClass.HOLDS_SS_JI
-            elif band_mean_gap(i, j) < 0.0:
+            elif _mean_gap(frame, n, m, i, j) < 0.0:
                 # E W_a < E W_b already refutes the i-side direction at x = 0
                 cells[(i, j)] = CellClass.NO_COMPARABILITY
             else:
@@ -427,11 +434,7 @@ def region_map_dda(n: int, m: int) -> RegionMap:
     fails already at x = 0; the remaining band is settled by check_ss_dda.
     The mean line is tested in exact integer arithmetic.
     """
-    return _classify_cells(
-        n, m, "DDA",
-        lambda i, j: float(i * (m + 1) - j * (n + 1)),
-        check_ss_dda,
-    )
+    return _classify_cells(n, m, "DDA", check_ss_dda)
 
 
 def region_map_dhra(n: int, m: int) -> RegionMap:
@@ -441,8 +444,4 @@ def region_map_dhra(n: int, m: int) -> RegionMap:
     harmonic-sum difference curve (the x = 0 value of the exponential-frame
     criterion), and the band is settled by check_ss_dhra.
     """
-    return _classify_cells(
-        n, m, "DHRA",
-        lambda i, j: _exp_mean(OrderStatSpec(i, n)) - _exp_mean(OrderStatSpec(j, m)),
-        check_ss_dhra,
-    )
+    return _classify_cells(n, m, "DHRA", check_ss_dhra)

@@ -1,11 +1,15 @@
-"""Every name a stochord module imports is used there."""
+"""Every name a stochord module imports is used there, and every third-party
+module it imports is a declared dependency."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
-_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stochord"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "stochord"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +48,23 @@ def test_unused_import_detector():
         "    return used(np.pi, os.sep)\n"
     )
     assert unused_imports(source) == ["json (line 2)", "unused (line 4)"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level modules that source imports, other than the standard
+    library's, stochord itself and relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"stochord"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in _SRC.glob("*.py")))
+    assert imported == declared

@@ -1,5 +1,6 @@
 """Root finding for the beta kernel, SS margin verification, region maps."""
 
+import functools
 import json
 import math
 import time
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from stochord.conditions import VerdictStatus
-from stochord.refdist import OrderStatSpec, ReferenceDistribution, expected_transformed_orderstat
+from stochord import ssverify
+from stochord.conditions import OrderVerdict, VerdictStatus
+from stochord.refdist import OrderStatSpec, ReferenceDistribution, cdf, expected_transformed_orderstat
 from stochord.ssverify import (
     CellClass,
     _critical_candidates,
@@ -412,10 +414,49 @@ def test_check_ss_dhra_refutation():
 def test_check_ss_dhra_root_that_rounds_to_one(a, b, inf_z):
     """A kernel root within half an ulp of 1 is r = 1.0 as a double, but its
     log-odds give the finite x = log(1 + e^s)."""
-    assert _critical_candidates(a, b, beta_kernel_roots)[-1] == 1.0
+    assert cdf(ReferenceDistribution.LOGISTIC, _critical_candidates(a, b)[-1]) == 1.0
     v = check_ss_dhra(a, b)
     assert v.status is VerdictStatus.UNDETERMINED
     assert v.lhs_witness == pytest.approx(inf_z, abs=1e-12)
+
+
+_R_GRID = np.linspace(0.0, 1.0, 20_001)
+
+
+def _exp_partial_mean_scipy(s: S) -> np.ndarray:
+    """E[W 1{W > x}] at x = -log(1 - r) for every r < 1 of _R_GRID, from
+    scipy: x P(W > x) plus the integral of P(W > t) dt = P(W > t) dr/(1 - r)
+    from r to 1 by the trapezoid rule, with P(W > t) = P(B_{i:n} > r)."""
+    tail = special.betaincc(s.i, s.n - s.i + 1, _R_GRID)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = tail / (1.0 - _R_GRID)
+    integrand[-1] = s.n if s.i == s.n else 0.0  # the limit at r = 1
+    cum = integrate.cumulative_trapezoid(integrand, _R_GRID, initial=0.0)
+    return -np.log1p(-_R_GRID[:-1]) * tail[:-1] + (cum[-1] - cum[:-1])
+
+
+def test_dhra_candidates_alone_reach_the_infimum(monkeypatch):
+    """Z at x = 0, the kernel roots and infinity is the infimum: with the
+    sign grid taken out of the verdict, no point of a dense grid of Z,
+    measured with scipy, lies lower, and the verdict agrees with the grid's
+    sign wherever that sign is clear.  The referee's partial means agree
+    with _exp_partial_mean to 2e-8 on these specs."""
+    monkeypatch.setattr(ssverify, "_dhra_grid_minimum", lambda a, b: (math.inf, 0.0))
+    rng = np.random.default_rng(5)
+    pool: list[S] = []
+    while len(pool) < 48:
+        n = int(rng.integers(1, 41))
+        s = S(int(rng.integers(1, n + 1)), n)
+        if s not in pool:
+            pool.append(s)
+    partial = {s: _exp_partial_mean_scipy(s) for s in pool}
+    for _ in range(300):
+        a, b = (pool[k] for k in rng.choice(len(pool), size=2, replace=False))
+        verdict = check_ss_dhra(a, b)
+        grid_min = float((partial[a] - partial[b]).min())
+        assert verdict.lhs_witness <= grid_min + 1e-7, (a, b)
+        if abs(grid_min) > 1e-6:
+            assert verdict.holds == (grid_min > 0.0), (a, b)
 
 
 def test_check_ss_dhra_large_n_returns_a_verdict():
@@ -505,3 +546,67 @@ def test_region_map_serialisations():
     boundaries = obj["boundaries"]
     assert boundaries["first_order_line"]
     assert boundaries["zero_mean_line"]
+
+
+def _band(rm, i: int) -> list[int]:
+    return list(range(i, rm.m - rm.n + i + 1))
+
+
+def _assert_mean_line_splits_the_band(rm):
+    lines = {p["i"]: p["j"] for p in rm.to_json_obj()["boundaries"]["zero_mean_line"]}
+    for i in range(1, rm.n + 1):
+        for j in _band(rm, i):
+            above = j > lines[i]
+            assert above == (rm.cells[(i, j)] is CellClass.NO_COMPARABILITY), (rm.n, rm.m, i, j)
+
+
+_dhra_map = functools.cache(region_map_dhra)
+
+
+def test_zero_mean_line_splits_the_band(monkeypatch):
+    """A band cell lies above the --json mean line exactly when the map calls
+    it NoComparability: on 13 x 121 the line meets j = 61 at i = 7, and on
+    DHRA 1 x 6 the harmonic mean gap stays >= 0 up to j = 4."""
+    for n, m in ((13, 121), (3, 4), (1, 6)):
+        _assert_mean_line_splits_the_band(region_map_dda(n, m))
+    for n, m in ((1, 6), (3, 4), (4, 5), (4, 6)):
+        _assert_mean_line_splits_the_band(_dhra_map(n, m))
+    # the mean gap decides NoComparability before any check runs, so a
+    # stand-in check keeps the sweep fast without changing those cells
+    holds = OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0, "stand-in")
+    monkeypatch.setattr(ssverify, "check_ss_dda", lambda a, b: holds)
+    monkeypatch.setattr(ssverify, "check_ss_dhra", lambda a, b: holds)
+    for n in range(1, 31):
+        for m in range(n, 2 * n + 2):
+            _assert_mean_line_splits_the_band(ssverify.region_map_dda(n, m))
+    for n in range(1, 4):
+        for m in range(n, n + 9):
+            _assert_mean_line_splits_the_band(ssverify.region_map_dhra(n, m))
+    _assert_mean_line_splits_the_band(ssverify.region_map_dhra(10, 30))
+
+
+def _assert_staircase(rm):
+    last_prev = 0
+    for i in range(1, rm.n + 1):
+        band = _band(rm, i)
+        passes = [j for j in band if rm.cells[(i, j)] is CellClass.NEEDS_CHECK_PASS]
+        assert passes == band[:len(passes)], (rm.n, rm.m, i)
+        last = passes[-1] if passes else i - 1
+        assert last >= last_prev, (rm.n, rm.m, i)
+        last_prev = last
+
+
+def test_full_region_maps_are_staircases(golden_dir):
+    """In each row the band's Pass cells form a prefix in j, and the last
+    Pass column is nondecreasing in i (ROADMAP item 4's staircase)."""
+    for n in range(1, 17):
+        for m in range(n, n + 17):
+            _assert_staircase(region_map_dda(n, m))
+    golden = (golden_dir / "region_dda_20_30.csv").read_text().splitlines()[1:]
+    cells = {}
+    for line in golden:
+        i, j, cls = line.split(",")
+        cells[(int(i), int(j))] = CellClass(cls)
+    _assert_staircase(ssverify.RegionMap(20, 30, "DDA", cells))
+    for n, m in ((3, 4), (4, 5), (4, 6)):
+        _assert_staircase(_dhra_map(n, m))
