@@ -21,9 +21,8 @@ Layering, bottom up:
 Importing the package loads none of these.  Each public name below is
 resolved on first use from the submodule that defines it (PEP 562), so a
 caller pays only for the layers it touches: specfun, refdist, conditions,
-bounds and ssverify's DDA frame need nothing but the standard library,
-ssverify's DHRA frame brings in numpy for its sign grid, and only
-orderstat and oracle load scipy.  The table lists each submodule's
+bounds and ssverify need nothing but the standard library, and only
+orderstat and oracle load numpy or scipy.  The table lists each submodule's
 ``__all__`` exactly, no more and no less.
 """
 

@@ -14,15 +14,14 @@ byte-identical bytes, so outputs can be committed as goldens.  JSON payloads
 are strict JSON: a non-finite float is written as the string "inf", "-inf"
 or "nan", never as a bare Infinity or NaN.
 
-Only `probe` loads scipy.  `compare` on a non-star class, `bounds-table`
-and `data-interval` are closed forms over the standard library
-(conditions, bounds, refdist, specfun), and DDA verdicts (`compare --class
-DDA`, `region --class DDA`, `verify-ss --frame DDA`) evaluate ssverify's
-criterion at the kernel roots with the same special functions, so none of
-them imports numpy or scipy.  DHRA verdicts evaluate theirs in closed form
-too, and load numpy for ssverify's DHRA sign grid only; `probe` imports the
-oracle, which is built on scipy by design (numpy, scipy.special and
-scipy.integrate; no subcommand loads scipy.stats).  Those modules are
+Only `probe` loads numpy or scipy.  `compare` on a non-star class,
+`bounds-table` and `data-interval` are closed forms over the standard
+library (conditions, bounds, refdist, specfun), and the ss verdicts
+(`compare`, `region` and `verify-ss` in the DDA and DHRA frames) evaluate
+ssverify's criterion with the same special functions, so none of them
+imports numpy or scipy.  `probe` imports the oracle, which is built on
+scipy by design (numpy, scipy.special and scipy.integrate; no subcommand
+loads scipy.stats).  Those modules are
 imported inside the commands, and their functions are looked up on the
 module at call time (`_ss` for the DDA/DHRA functions, `_probes` for the
 oracle's), so a function replaced on its module (as a tracing harness

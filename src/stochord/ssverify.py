@@ -28,12 +28,14 @@ uniform frame reads the incomplete beta function and the exponential frame
 a finite sum of positive binomial terms, as P(W > t) = P(Bin(n, 1 - e^-t)
 <= i-1); no quadrature runs.  The exponential frame appends the minimum of
 a sign grid, on an alternating binomial series where a conditioning probe
-trusts it and on the closed form otherwise, as a cross-check.
+trusts it and on the closed form otherwise, as a cross-check.  The module
+needs only the standard library.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -108,17 +110,14 @@ def _kernel_log_odds(a: float, b: float, log_c: float) -> tuple[float, ...]:
     s_roots: list[float] = []
     if a * b > 0.0:
         s_star = math.log(a / b)  # x* = a/(a+b)
-        g_star = g(s_star)
-        if abs(g_star) <= _TANGENCY_TOL:
+        if abs(g(s_star)) <= _TANGENCY_TOL:
             s_roots.append(s_star)
         else:
-            # a,b > 0: interior max, roots need g_star > 0;
-            # a,b < 0: interior min, roots need g_star < 0.
-            crosses = g_star > 0.0 if a > 0.0 else g_star < 0.0
-            if crosses:
-                for lo, hi in ((-_S_BOUND, s_star), (s_star, _S_BOUND)):
-                    if g(lo) * g(hi) < 0.0:
-                        s_roots.append(refine(lo, hi))
+            # g is monotone on each side of its extremum at s_star, so a
+            # sign change on a half brackets that half's only root
+            for lo, hi in ((-_S_BOUND, s_star), (s_star, _S_BOUND)):
+                if g(lo) * g(hi) < 0.0:
+                    s_roots.append(refine(lo, hi))
     elif g(-_S_BOUND) * g(_S_BOUND) < 0.0:
         s_roots.append(refine(-_S_BOUND, _S_BOUND))
     return tuple(sorted(s_roots))
@@ -276,9 +275,8 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     in the variable r = 1 - e^-x, so the candidates are those of
     check_ss_dda with Z(0) a difference of harmonic sums and the roots
     evaluated by the positive-term closed form of _exp_partial_mean.  The
-    sign grid runs on the alternating series where well conditioned, with
-    the most negative grid points re-evaluated by the closed form before
-    they can decide a verdict.
+    minimum of _dhra_grid_minimum's sign grid comes last, as a cross-check
+    that wins no tie with the candidates.
     """
     return _ss_verdict("DHRA", a, b, lambda: [
         # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
@@ -289,12 +287,15 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 
 
 def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float]:
-    """(x, Z(x)) at the sign grid's smallest Z."""
-    import numpy as np  # here, not at the top: the uniform frame needs no numpy
+    """(x, Z(x)) at the sign grid's smallest Z, the first of equal values: a
+    cross-check, as the candidates already hold every critical point of Z.
 
-    # Probe the series conditioning first; badly conditioned pairs, and
-    # those whose series terms overflow (n >= about 646), get a coarser
-    # closed-form grid instead.
+    The grid is uniform in r = 1 - e^-x on [0, 1 - 1e-9].  It runs on the
+    alternating series, with its 16 lowest values re-evaluated by the closed
+    form so that series cancellation cannot manufacture a negative minimum.
+    Pairs whose series a conditioning probe distrusts, and those whose terms
+    overflow (n >= about 646), take a coarser closed-form grid instead.
+    """
     try:
         probe_cond = max(
             _exp_tail_series(s, x)[1]
@@ -303,30 +304,19 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
         )
     except OverflowError:
         probe_cond = math.inf
-    if probe_cond < _SERIES_COND_LIMIT / 10.0:
-        rs = np.linspace(0.0, 1.0 - 1e-9, _GRID_POINTS)
-        xs_all = -np.log1p(-rs)
-        zs = np.array([_series_pair(a, b, x) for x in xs_all])
-        signs = np.sign(zs)
-        flip_idx = np.nonzero(signs[1:] * signs[:-1] < 0)[0]
-        if flip_idx.size:
-            extra = np.concatenate(
-                [np.linspace(xs_all[k], xs_all[k + 1], 12)[1:-1] for k in flip_idx]
-            )
-            xs_all = np.concatenate([xs_all, extra])
-            zs = np.concatenate([zs, [_series_pair(a, b, x) for x in extra]])
-        # re-evaluate the most suspicious points by the closed form so
-        # series cancellation noise cannot manufacture a negative minimum
-        order = np.argsort(zs)
-        for k in order[:16]:
-            zs[k] = ss_margin_dhra(a, b, float(xs_all[k]))
-        k = int(np.argmin(zs))
-        return float(xs_all[k]), float(zs[k])
-    rs = np.linspace(0.0, 1.0 - 1e-9, 401)
-    xs_all = -np.log1p(-rs)
-    zs = np.array([ss_margin_dhra(a, b, float(x)) for x in xs_all])
-    k = int(np.argmin(zs))
-    return float(xs_all[k]), float(zs[k])
+    series = probe_cond < _SERIES_COND_LIMIT / 10.0
+    points = _GRID_POINTS if series else 401
+    r_max = 1.0 - 1e-9
+    step = r_max / (points - 1)
+    xs = [-math.log1p(-r) for r in [k * step for k in range(points - 1)] + [r_max]]
+    if series:
+        zs = [_series_pair(a, b, x) for x in xs]
+        for k in heapq.nsmallest(16, range(points), key=zs.__getitem__):
+            zs[k] = ss_margin_dhra(a, b, xs[k])
+    else:
+        zs = [ss_margin_dhra(a, b, x) for x in xs]
+    k = min(range(points), key=zs.__getitem__)
+    return xs[k], zs[k]
 
 
 def _series_pair(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:

@@ -293,6 +293,9 @@ def test_importing_the_cli_loads_no_numpy_or_scipy():
     ["verify-ss", "--frame", "DDA", "--a", "2,3", "--b", "3,5"],
     ["compare", "--class", "DDA", "--a", "2,3", "--b", "3,5"],
     ["region", "--class", "DDA", "-n", "5", "-m", "8"],
+    ["verify-ss", "--frame", "DHRA", "--a", "2,3", "--b", "3,5"],
+    ["compare", "--class", "DHRA", "--a", "2,3", "--b", "3,5"],
+    ["region", "--class", "DHRA", "-n", "3", "-m", "4"],
 ])
 def test_closed_form_commands_load_no_numpy_or_scipy(argv, data_dir):
     argv = [str(data_dir / "carbon_fibers.csv") if a == "CARBON" else a for a in argv]
@@ -300,21 +303,6 @@ def test_closed_form_commands_load_no_numpy_or_scipy(argv, data_dir):
                    f"rc = main({argv!r}); print(rc, {_HEAVY})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] in ("0 []", "2 []")
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify-ss", "--frame", "DHRA", "--a", "2,3", "--b", "3,5"],
-    ["compare", "--class", "DHRA", "--a", "2,3", "--b", "3,5"],
-    ["region", "--class", "DHRA", "-n", "3", "-m", "4"],
-])
-def test_dhra_commands_load_no_scipy(argv):
-    # DHRA verdicts are closed forms; numpy stays for their sign grid
-    proc = _python("import sys; from stochord.cli import main; "
-                   f"rc = main({argv!r}); print(rc, {_HEAVY})")
-    assert proc.returncode == 0, proc.stderr
-    rc, heavy = proc.stdout.splitlines()[-1].split(" ", 1)
-    assert rc in ("0", "2")
-    assert "scipy" not in heavy, heavy
 
 
 def test_scipy_commands_load_no_scipy_stats():

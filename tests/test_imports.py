@@ -1,5 +1,6 @@
-"""Every name a stochord module imports is used there, and every third-party
-module it imports is a declared dependency."""
+"""Every name a stochord module imports is used there, every third-party
+module it imports is a declared dependency, and each module imports only the
+third-party modules allowed to it."""
 
 import ast
 import pathlib
@@ -68,3 +69,18 @@ def test_third_party_imports_are_the_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
     imported = set().union(*(third_party_imports(p.read_text()) for p in _SRC.glob("*.py")))
     assert imported == declared
+
+
+# Third-party modules each stochord module may import; the others import none.
+_ALLOWED_THIRD_PARTY = {
+    "oracle": {"numpy", "scipy"},  # the independent scipy referee
+    "cli": {"click"},
+    "orderstat": {"scipy"},  # the quad binding perfbench's tracer replaces
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_third_party_imports_stay_in_their_modules(path):
+    # the AST walk also sees imports inside functions
+    allowed = _ALLOWED_THIRD_PARTY.get(path.stem, set())
+    assert third_party_imports(path.read_text()) <= allowed

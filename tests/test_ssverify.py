@@ -459,6 +459,29 @@ def test_dhra_candidates_alone_reach_the_infimum(monkeypatch):
             assert verdict.holds == (grid_min > 0.0), (a, b)
 
 
+def test_dhra_grid_never_beats_the_candidates():
+    """The sign grid is only a cross-check: its minimum lies below the
+    smallest Z of _candidate_points by at most rounding, so dropping it
+    decides no verdict.  The worst measured case is (91,651) vs (169,302),
+    where a grid point beats the kernel-root candidate by 1.27e-14
+    (1.5e-14 relative), the closed form's rounding at n = 651."""
+    rng = np.random.default_rng(14)
+    pairs = [(S(500, 1000), S(300, 700)), (S(91, 651), S(169, 302)), (S(2, 138), S(197, 338))]
+    while len(pairs) < 203:
+        n, m = (int(v) for v in rng.integers(1, 13, size=2))
+        a, b = S(int(rng.integers(1, n + 1)), n), S(int(rng.integers(1, m + 1)), m)
+        if a != b:
+            pairs.append((a, b))
+    for a, b in pairs:
+        candidates = ssverify._candidate_points(
+            ReferenceDistribution.EXPONENTIAL, a, b,
+            lambda s: math.log1p(math.exp(s)), ss_margin_dhra,
+        )
+        cand_min = min(z for _, z in candidates)
+        grid_min = ssverify._dhra_grid_minimum(a, b)[1]
+        assert grid_min >= cand_min - 1e-13 * abs(cand_min), (a, b, grid_min, cand_min)
+
+
 def test_check_ss_dhra_large_n_returns_a_verdict():
     # the alternating series overflows at n >= about 646; such pairs take
     # the closed-form grid instead
