@@ -5,7 +5,8 @@ Exit codes follow a sysexits-flavoured convention:
     0   the requested ordering/probe holds (or the command just produced output)
     2   the check ran fine but the property is undetermined, violated, or the
         requested interval is infeasible
-    1   a runtime failure (bad data file, divergent condition, quadrature error)
+    1   a runtime failure: a bad data file, an unwritable output path, or an
+        incomplete beta that does not converge
     64  malformed usage: unknown class, unparsable rank spec, bad flag
 
 All file outputs are written atomically (temp file + rename) with LF line
@@ -413,7 +414,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return rv if isinstance(rv, int) else 0

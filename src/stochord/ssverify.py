@@ -27,15 +27,13 @@ roots, and the right end of the support, where Z = 0.  At the roots the
 uniform frame reads the incomplete beta function and the exponential frame
 a finite sum of positive binomial terms, as P(W > t) = P(Bin(n, 1 - e^-t)
 <= i-1); no quadrature runs.  The exponential frame appends the minimum of
-a sign grid, on an alternating binomial series where a conditioning probe
-trusts it and on the closed form otherwise, as a cross-check.  The module
-needs only the standard library.
+that closed form over a sign grid as a cross-check.  The module needs only
+the standard library.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -59,7 +57,6 @@ _S_BOUND = 700.0          # log-odds search range; covers x down to ~1e-304
 _TANGENCY_TOL = 1e-12     # log-domain tolerance for a double root
 _HOLDS_TOL = 1e-12        # Z minimum above -this counts as nonnegative
 _GRID_POINTS = 10_000
-_SERIES_COND_LIMIT = 1e8  # alternating-sum condition number gate
 
 
 def _log_sigmoid(s: float) -> float:
@@ -207,32 +204,6 @@ def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 # exponential frame (DHRA)
 # ---------------------------------------------------------------------------
 
-def _exp_tail_series(s: OrderStatSpec, x: float) -> tuple[float, float]:
-    """Alternating binomial closed form of the exponential-frame tail integral
-    int_x^inf t (1-e^-t)^(i-1) e^-(n-i+1)t dt / B(i, n-i+1).
-
-    Returns (value, condition number max|term|/|sum|); the caller decides
-    whether the cancellation is acceptable.
-    """
-    i, n = s.i, s.n
-    log_pref = -log_beta(s.alpha, s.beta)
-    terms = []
-    for k in range(i):
-        d = n - k
-        log_mag = (
-            log_pref
-            + math.lgamma(i) - math.lgamma(k + 1) - math.lgamma(i - k)
-            - d * x
-            - 2.0 * math.log(d)
-        )
-        sign = -1.0 if (i - 1 - k) % 2 else 1.0
-        terms.append(sign * math.exp(log_mag) * (d * x + 1.0))
-    total = math.fsum(terms)
-    worst = max(abs(t) for t in terms)
-    cond = worst / max(abs(total), 1e-300)
-    return total, cond
-
-
 def _exp_partial_mean(s: OrderStatSpec, x: float) -> float:
     """E[W 1{W > x}] for W = -log(1 - B_{i:n}), in closed form.
 
@@ -273,10 +244,10 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 
     Critical points satisfy the same kernel equation as the uniform frame,
     in the variable r = 1 - e^-x, so the candidates are those of
-    check_ss_dda with Z(0) a difference of harmonic sums and the roots
-    evaluated by the positive-term closed form of _exp_partial_mean.  The
-    minimum of _dhra_grid_minimum's sign grid comes last, as a cross-check
-    that wins no tie with the candidates.
+    check_ss_dda with Z(0) a difference of harmonic sums, and Z comes from
+    the positive-term closed form of _exp_partial_mean at the roots and on
+    _dhra_grid_minimum's sign grid alike.  The grid's minimum comes last, as
+    a cross-check that wins no tie with the candidates.
     """
     return _ss_verdict("DHRA", a, b, lambda: [
         # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
@@ -290,37 +261,17 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
     """(x, Z(x)) at the sign grid's smallest Z, the first of equal values: a
     cross-check, as the candidates already hold every critical point of Z.
 
-    The grid is uniform in r = 1 - e^-x on [0, 1 - 1e-9].  It runs on the
-    alternating series, with its 16 lowest values re-evaluated by the closed
-    form so that series cancellation cannot manufacture a negative minimum.
-    Pairs whose series a conditioning probe distrusts, and those whose terms
-    overflow (n >= about 646), take a coarser closed-form grid instead.
+    The grid is uniform in r = 1 - e^-x on [0, 1 - 1e-9], with Z from the
+    closed form at every point: _GRID_POINTS points while both sample sizes
+    are at most 20, 401 beyond, where each point costs O(n).
     """
-    try:
-        probe_cond = max(
-            _exp_tail_series(s, x)[1]
-            for s in (a, b)
-            for x in (0.0, 0.5, 1.0, 2.0)
-        )
-    except OverflowError:
-        probe_cond = math.inf
-    series = probe_cond < _SERIES_COND_LIMIT / 10.0
-    points = _GRID_POINTS if series else 401
+    points = _GRID_POINTS if max(a.n, b.n) <= 20 else 401
     r_max = 1.0 - 1e-9
     step = r_max / (points - 1)
     xs = [-math.log1p(-r) for r in [k * step for k in range(points - 1)] + [r_max]]
-    if series:
-        zs = [_series_pair(a, b, x) for x in xs]
-        for k in heapq.nsmallest(16, range(points), key=zs.__getitem__):
-            zs[k] = ss_margin_dhra(a, b, xs[k])
-    else:
-        zs = [ss_margin_dhra(a, b, x) for x in xs]
+    zs = [ss_margin_dhra(a, b, x) for x in xs]
     k = min(range(points), key=zs.__getitem__)
     return xs[k], zs[k]
-
-
-def _series_pair(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
-    return _exp_tail_series(a, x)[0] - _exp_tail_series(b, x)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,18 @@ def test_data_interval_malformed_line(tmp_path, capsys):
     assert ":3:" in err  # names the offending line
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-ss", "--frame", "DDA", "--a", "2,3", "--b", "3,5", "--json"],
+    ["bounds-table", "-n", "3", "--csv"],
+], ids=["verify-ss", "bounds-table"])
+def test_unwritable_output_path_is_a_runtime_error(argv, tmp_path):
+    argv = [*argv, str(tmp_path / "no_such_dir" / "out")]
+    proc = _python(f"from stochord.cli import main; raise SystemExit(main({argv!r}))")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_probe_exit_codes(capsys):
     assert main(["probe", "--order", "st", "--reference", "uniform",
                  "--a", "3,5", "--b", "2,5"]) == 0
@@ -370,13 +382,21 @@ def _readme_examples() -> list[tuple[list[str], str]]:
 _README_EXAMPLES = _readme_examples()
 
 
+def _readme_example_id(k: int) -> str:
+    """The example's subcommand; a repeated subcommand adds its first option's
+    value, as in verify-ss-DHRA."""
+    argv = _README_EXAMPLES[k][0]
+    repeated = argv[0] in (earlier[0] for earlier, _ in _README_EXAMPLES[:k])
+    return f"{argv[0]}-{argv[2]}" if repeated else argv[0]
+
+
 def test_readme_examples_are_all_collected():
     assert [argv[0] for argv, _ in _README_EXAMPLES] == [
-        "compare", "verify-ss", "data-interval", "probe"]
+        "compare", "verify-ss", "verify-ss", "data-interval", "probe"]
 
 
 @pytest.mark.parametrize("argv, stdout", _README_EXAMPLES,
-                         ids=[argv[0] for argv, _ in _README_EXAMPLES])
+                         ids=[_readme_example_id(k) for k in range(len(_README_EXAMPLES))])
 def test_readme_example_output_is_byte_exact(argv, stdout, capsys, monkeypatch):
     monkeypatch.chdir(_ROOT)
     rc = main(argv)

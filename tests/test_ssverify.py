@@ -19,7 +19,6 @@ from stochord.ssverify import (
     CellClass,
     _critical_candidates,
     _exp_partial_mean,
-    _series_pair,
     beta_kernel_roots,
     check_ss_dda,
     check_ss_dhra,
@@ -365,20 +364,14 @@ def _z_dhra_quad(a: S, b: S, x: float) -> float:
     return tail(a, x) - tail(b, x)
 
 
-@pytest.mark.parametrize("pair", [(S(2, 3), S(3, 5)), (S(1, 2), S(2, 4))])
-def test_dhra_series_matches_quadrature(pair):
-    a, b = pair
-    for x in (0.0, 0.3, 1.0, 2.5):
-        series = _series_pair(a, b, x)
-        closed = ss_margin_dhra(a, b, x)
-        assert series == pytest.approx(closed, abs=1e-12)
-        assert closed == pytest.approx(_z_dhra_quad(a, b, x), abs=1e-8)
-
-
 def test_dhra_margin_agrees_with_scipy_quad():
-    a, b = S(3, 7), S(4, 9)
-    for x in (0.1, 0.7, 2.0):
-        assert ss_margin_dhra(a, b, x) == pytest.approx(_z_dhra_quad(a, b, x), abs=1e-10)
+    for a, b, xs in [
+        (S(3, 7), S(4, 9), (0.1, 0.7, 2.0)),
+        (S(2, 3), S(3, 5), (0.0, 0.3, 1.0, 2.5)),
+        (S(1, 2), S(2, 4), (0.0, 0.3, 1.0, 2.5)),
+    ]:
+        for x in xs:
+            assert ss_margin_dhra(a, b, x) == pytest.approx(_z_dhra_quad(a, b, x), abs=1e-10), (a, b, x)
 
 
 def test_dhra_margin_rejects_nan_and_vanishes_at_infinity():
@@ -462,12 +455,15 @@ def test_dhra_candidates_alone_reach_the_infimum(monkeypatch):
 def test_dhra_grid_never_beats_the_candidates():
     """The sign grid is only a cross-check: its minimum lies below the
     smallest Z of _candidate_points by at most rounding, so dropping it
-    decides no verdict.  The worst measured case is (91,651) vs (169,302),
-    where a grid point beats the kernel-root candidate by 1.27e-14
-    (1.5e-14 relative), the closed form's rounding at n = 651."""
+    decides no verdict.  The fixed pairs sit on both sides of n = 20, where
+    the grid goes from 10,000 points to 401.  The worst measured case is
+    (91,651) vs (169,302), where a grid point beats the kernel-root
+    candidate by 1.27e-14 (1.55e-14 relative), the closed form's rounding
+    at n = 651; at n, m <= 12 the worst is 1.7e-15 relative, (2,2) vs (3,3)."""
     rng = np.random.default_rng(14)
-    pairs = [(S(500, 1000), S(300, 700)), (S(91, 651), S(169, 302)), (S(2, 138), S(197, 338))]
-    while len(pairs) < 203:
+    pairs = [(S(500, 1000), S(300, 700)), (S(91, 651), S(169, 302)), (S(2, 138), S(197, 338)),
+             (S(20, 20), S(19, 20)), (S(4, 385), S(7, 12)), (S(2, 33), S(5, 39))]
+    while len(pairs) < 206:
         n, m = (int(v) for v in rng.integers(1, 13, size=2))
         a, b = S(int(rng.integers(1, n + 1)), n), S(int(rng.integers(1, m + 1)), m)
         if a != b:
@@ -483,8 +479,8 @@ def test_dhra_grid_never_beats_the_candidates():
 
 
 def test_check_ss_dhra_large_n_returns_a_verdict():
-    # the alternating series overflows at n >= about 646; such pairs take
-    # the closed-form grid instead
+    # the closed form's log-space binomial masses stay finite at n = 1000,
+    # and past n = 20 the sign grid has 401 points
     start = time.perf_counter()
     verdict = check_ss_dhra(S(500, 1000), S(300, 700))
     assert time.perf_counter() - start < 2.0
