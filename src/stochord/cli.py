@@ -31,6 +31,7 @@ does) is the one that runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -87,10 +88,17 @@ def _parse_reference(name: str) -> ReferenceDistribution:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file beside it; a failure is
+    reported against path and leaves no temporary file behind."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # open may have failed before creating it
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _jsonable(v):

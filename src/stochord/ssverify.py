@@ -26,15 +26,22 @@ Z is a difference of two entries of refdist's table of means, the kernel
 roots, and the right end of the support, where Z = 0.  At the roots the
 uniform frame reads the incomplete beta function and the exponential frame
 a finite sum of positive binomial terms, as P(W > t) = P(Bin(n, 1 - e^-t)
-<= i-1); no quadrature runs.  The exponential frame appends the minimum of
-that closed form over a sign grid as a cross-check.  The module needs only
-the standard library.
+<= i-1); no quadrature runs.  That sum is formed from its largest binomial
+mass, the one term taken in log space, by a walk of ratios outward from it
+(the start-at-the-bulk scheme of Loader, "Fast and accurate computation of
+binomial probabilities", 2000), with the constants of each spec built once
+per sequence of x.  The exponential frame appends the minimum of that
+closed form over a sign grid, streamed point by point, as a cross-check.
+The module needs only the standard library.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .conditions import OrderVerdict, VerdictStatus
@@ -204,33 +211,71 @@ def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 # exponential frame (DHRA)
 # ---------------------------------------------------------------------------
 
-def _exp_partial_mean(s: OrderStatSpec, x: float) -> float:
-    """E[W 1{W > x}] for W = -log(1 - B_{i:n}), in closed form.
+def _exp_partial_means(s: OrderStatSpec, xs: Iterable[float]) -> Iterator[float]:
+    """E[W 1{W > x}] for W = -log(1 - B_{i:n}) at each x of xs, in closed form.
 
     P(W > t) = P(Bin(n, 1 - e^-t) <= i-1), so with r = 1 - e^-x and
-    F_k = P(Bin(n, r) <= k) the partial mean is the positive-term sum
-    x F_{i-1} + sum_{k<i} F_k / (n-k).  The binomial masses start from
-    log P(Bin = 0) = -n x and stay in log space as
-    log C(n, k) + k log r - (n-k) x, with C(n, k) an exact integer and
-    log r = log(-expm1(-x)), so no term overflows at large n or x.
+    p_l = P(Bin(n, r) = l) the partial mean x F_{i-1} + sum_{k<i} F_k / (n-k),
+    F_k = p_0 + ... + p_k, regroups into the positive-term sum
+    sum_{l<i} p_l (x + h_l) with the suffix weights h_l = sum_{k=l}^{i-1}
+    1/(n-k).  The weights, the ratios (n-k+1)/k and log C(n, k) for k < i,
+    from exact integers, depend on s alone and are built once.
+
+    At each x only the largest mass among l < i, at k* = min(i-1,
+    floor((n+1) r)), is formed, in log space as log C(n, k*) + k* log r -
+    (n-k*) x; the others follow by walking outward from it with the ratio
+    p_k / p_{k-1} = (n-k+1)/k (e^x - 1), so no term exceeds 1 and one exp
+    of log p_{k*} + log(sum) finishes.  Anchoring at the bulk keeps the
+    exponent of the anchor, not -n x, as the only large number.  Past
+    x ~ 709.78, e^x - 1 overflows; there r rounds to 1, k* = i-1 and only
+    the downward walk runs, its terms divided by an infinite e^x - 1 to 0.
     """
-    if not x >= 0.0:
-        raise ValueError(f"the exponential-frame partial mean needs x >= 0, got {x}")
-    n = s.n
-    if n * x == math.inf:  # no mass left above x
-        return 0.0
-    log_pmf = [-n * x]
-    log_r = math.log(-math.expm1(-x)) if x > 0.0 else -math.inf
+    n, i = s.n, s.i
+    last = i - 1
+    log_binom = [0.0]
     binom = 1
-    for k in range(1, s.i):
+    for k in range(1, i):
         binom = binom * (n - k + 1) // k
-        log_pmf.append(math.log(binom) + k * log_r - (n - k) * x)
-    top = max(log_pmf)
-    cdf = total = 0.0
-    for k, lp in enumerate(log_pmf):
-        cdf += math.exp(lp - top)
-        total += cdf / (n - k)
-    return math.exp(top + math.log(x * cdf + total))
+        log_binom.append(math.log(binom))
+    weight = [*itertools.accumulate(1.0 / (n - k) for k in range(last, -1, -1))][::-1]
+    # the walk's steps as (ratio without its factor (e^x - 1)^(+-1), weight
+    # of the term reached): from k*, up[k*:] reaches k*+1..i-1 and
+    # down[i-1-k*:] reaches k*-1..0
+    up = [((n - k + 1) / k, weight[k]) for k in range(1, i)]
+    down = [(k / (n - k + 1), weight[k - 1]) for k in range(last, 0, -1)]
+    for x in xs:
+        if not x >= 0.0:
+            raise ValueError(f"the exponential-frame partial mean needs x >= 0, got {x}")
+        if n * x == math.inf:  # no mass left above x
+            yield 0.0
+            continue
+        r = -math.expm1(-x)
+        try:
+            odds = math.expm1(x)  # r / (1 - r)
+        except OverflowError:  # r rounds to 1, so k* = i-1
+            odds = math.inf
+        top = min(last, math.floor((n + 1) * r))
+        total = x + weight[top]
+        if top:
+            log_top = log_binom[top] + top * math.log(r) - (n - top) * x
+            term = 1.0
+            for q, w in down[last - top:]:
+                term *= q / odds
+                total += term * (x + w)
+        else:
+            log_top = -n * x  # log p_0, also at x = 0, where log r = -inf
+        if top < last:
+            term = 1.0
+            for q, w in up[top:]:
+                term *= q * odds
+                total += term * (x + w)
+        yield math.exp(log_top + math.log(total))
+
+
+def _exp_partial_mean(s: OrderStatSpec, x: float) -> float:
+    """E[W 1{W > x}] for W = -log(1 - B_{i:n}): _exp_partial_means at one x."""
+    (value,) = _exp_partial_means(s, (x,))
+    return value
 
 
 def ss_margin_dhra(a: OrderStatSpec, b: OrderStatSpec, x: float) -> float:
@@ -245,9 +290,10 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     Critical points satisfy the same kernel equation as the uniform frame,
     in the variable r = 1 - e^-x, so the candidates are those of
     check_ss_dda with Z(0) a difference of harmonic sums, and Z comes from
-    the positive-term closed form of _exp_partial_mean at the roots and on
-    _dhra_grid_minimum's sign grid alike.  The grid's minimum comes last, as
-    a cross-check that wins no tie with the candidates.
+    one evaluator, _exp_partial_means, whose binomial walk from the largest
+    mass serves the roots one x at a time and _dhra_grid_minimum's sign grid
+    as one stream.  The grid's minimum comes last, as a cross-check that
+    wins no tie with the candidates.
     """
     return _ss_verdict("DHRA", a, b, lambda: [
         # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
@@ -261,17 +307,19 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
     """(x, Z(x)) at the sign grid's smallest Z, the first of equal values: a
     cross-check, as the candidates already hold every critical point of Z.
 
-    The grid is uniform in r = 1 - e^-x on [0, 1 - 1e-9], with Z from the
-    closed form at every point: _GRID_POINTS points while both sample sizes
-    are at most 20, 401 beyond, where each point costs O(n).
+    The grid is uniform in r = 1 - e^-x on [0, 1 - 1e-9]: _GRID_POINTS
+    points while both sample sizes are at most 20, 401 beyond, where each
+    point walks O(n) binomial terms.  Z streams from _exp_partial_means over
+    the lazily generated grid, so each spec's constants are built once and
+    no grid is held in memory.
     """
     points = _GRID_POINTS if max(a.n, b.n) <= 20 else 401
     r_max = 1.0 - 1e-9
     step = r_max / (points - 1)
-    xs = [-math.log1p(-r) for r in [k * step for k in range(points - 1)] + [r_max]]
-    zs = [ss_margin_dhra(a, b, x) for x in xs]
-    k = min(range(points), key=zs.__getitem__)
-    return xs[k], zs[k]
+    grid = (-math.log1p(-(k * step if k < points - 1 else r_max)) for k in range(points))
+    xs, xs_a, xs_b = itertools.tee(grid, 3)
+    zs = map(operator.sub, _exp_partial_means(a, xs_a), _exp_partial_means(b, xs_b))
+    return min(zip(xs, zs), key=operator.itemgetter(1))
 
 
 # ---------------------------------------------------------------------------

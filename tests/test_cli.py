@@ -222,6 +222,30 @@ def test_unwritable_output_path_is_a_runtime_error(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_VERIFY_SS_JSON = ["verify-ss", "--frame", "DDA", "--a", "2,3", "--b", "3,5", "--json"]
+
+
+def test_failed_write_names_the_path_given(tmp_path, capsys):
+    path = str(tmp_path / "no_such_dir" / "x.json")
+    assert main([*_VERIFY_SS_JSON, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(path) in err
+    assert ".tmp." not in err
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):  # the message os.replace gives names both files
+        raise PermissionError(13, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    path = str(tmp_path / "x.json")
+    assert main([*_VERIFY_SS_JSON, path]) == 1
+    err = capsys.readouterr().err
+    assert repr(path) in err and ".tmp." not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_probe_exit_codes(capsys):
     assert main(["probe", "--order", "st", "--reference", "uniform",
                  "--a", "3,5", "--b", "2,5"]) == 0

@@ -349,6 +349,34 @@ def test_exp_partial_mean_against_mpmath(i, n, x):
     assert _exp_partial_mean(S(i, n), x) == pytest.approx(float(want), rel=1e-12)
 
 
+@given(st.integers(1, 1000).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+       st.floats(min_value=0.0, max_value=120.0))
+@settings(deadline=None)
+def test_exp_partial_mean_walk_matches_mpmath(spec, x):
+    """The binomial walk from the bulk keeps relative accuracy over the whole
+    range of i, n <= 1000 and x, down to values of 1e-300."""
+    want = _exp_partial_mean_mp(S(*spec), x)
+    got = _exp_partial_mean(S(*spec), x)
+    if want > 1e-300:
+        assert got == pytest.approx(float(want), rel=1e-12)
+    else:
+        assert 0.0 <= got <= 1e-299
+
+
+@pytest.mark.parametrize("i,n,x,k_star", [
+    (4, 9, 0.0, 0),           # r = 0: the anchor alone, p_0 = 1
+    (5, 9, 0.05, 0),          # (n+1) r < 1: the walk goes up only
+    (300, 700, 0.4, 231),     # a mode below i-1: the walk goes both ways
+    (3, 7, 9.0, 2),           # the mode is past i-1: the walk goes down only
+    (2, 2, 710.0, 1),         # e^x - 1 overflows; r rounds to 1
+    (495, 500, 72.6, 494),    # anchored at k = 0, -n x would carry the exponent
+])
+def test_exp_partial_mean_walk_edges(i, n, x, k_star):
+    assert min(i - 1, math.floor((n + 1) * -math.expm1(-x))) == k_star
+    want = _exp_partial_mean_mp(S(i, n), x)
+    assert _exp_partial_mean(S(i, n), x) == pytest.approx(float(want), rel=1e-12)
+
+
 def _z_dhra_quad(a: S, b: S, x: float) -> float:
     def tail(s: S, t: float) -> float:
         c = math.exp(special.betaln(s.i, s.n - s.i + 1))
@@ -458,8 +486,8 @@ def test_dhra_grid_never_beats_the_candidates():
     decides no verdict.  The fixed pairs sit on both sides of n = 20, where
     the grid goes from 10,000 points to 401.  The worst measured case is
     (91,651) vs (169,302), where a grid point beats the kernel-root
-    candidate by 1.27e-14 (1.55e-14 relative), the closed form's rounding
-    at n = 651; at n, m <= 12 the worst is 1.7e-15 relative, (2,2) vs (3,3)."""
+    candidate by 1.42e-14 (1.74e-14 relative), the closed form's rounding
+    at n = 651; at n, m <= 12 the worst is 7.3e-16 relative, (4,6) vs (4,5)."""
     rng = np.random.default_rng(14)
     pairs = [(S(500, 1000), S(300, 700)), (S(91, 651), S(169, 302)), (S(2, 138), S(197, 338)),
              (S(20, 20), S(19, 20)), (S(4, 385), S(7, 12)), (S(2, 33), S(5, 39))]
@@ -478,9 +506,19 @@ def test_dhra_grid_never_beats_the_candidates():
         assert grid_min >= cand_min - 1e-13 * abs(cand_min), (a, b, grid_min, cand_min)
 
 
+@pytest.mark.parametrize("a, b", [
+    (S(2, 3), S(3, 5)), (S(3, 5), S(2, 3)), (S(4, 385), S(7, 12)), (S(91, 651), S(169, 302)),
+])
+def test_dhra_grid_streams_the_candidates_closed_form(a, b):
+    """The grid's streamed Z and ss_margin_dhra, which the candidates read,
+    are one closed form: at the grid's witness they agree bit for bit."""
+    x, z = ssverify._dhra_grid_minimum(a, b)
+    assert ss_margin_dhra(a, b, x) == z
+
+
 def test_check_ss_dhra_large_n_returns_a_verdict():
-    # the closed form's log-space binomial masses stay finite at n = 1000,
-    # and past n = 20 the sign grid has 401 points
+    # the binomial walk anchors at the largest mass, whose log stays finite
+    # at n = 1000, and past n = 20 the sign grid has 401 points
     start = time.perf_counter()
     verdict = check_ss_dhra(S(500, 1000), S(300, 700))
     assert time.perf_counter() - start < 2.0
