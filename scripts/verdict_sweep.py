@@ -11,8 +11,12 @@ checkouts can be compared byte for byte.  The pairs are
 - "fixed": six pairs that earlier changes singled out.
 
 It writes OUT_DIR/verdicts.json and the DHRA region maps 3x4, 3x5, 4x5, 4x6,
-5x6 and 6x7 as OUT_DIR/dhra_<n>x<m>.csv.  It needs only the standard
-library and the stochord package of the checkout under test:
+5x6 and 6x7 as OUT_DIR/dhra_<n>x<m>.csv.  It also writes the "exhaustive"
+set, OUT_DIR/exhaustive.json: all 6,006 ordered pairs of different (i, n)
+and (j, m) with n, m <= 12, each with its DDA verdict as above and the
+kernel roots that both frames take as candidates, as log-odds in float hex.
+That set runs no DHRA sign grid, so it takes seconds.  The script needs only
+the standard library and the stochord package of the checkout under test:
 
     PYTHONPATH=src python3 scripts/verdict_sweep.py OUT_DIR
     diff -r OUT_DIR OTHER_OUT_DIR
@@ -24,7 +28,7 @@ import pathlib
 import random
 
 from stochord.refdist import OrderStatSpec
-from stochord.ssverify import check_ss_dda, check_ss_dhra, region_map_dhra
+from stochord.ssverify import _critical_candidates, check_ss_dda, check_ss_dhra, region_map_dhra
 
 FIXED = [((500, 1000), (300, 700)), ((91, 651), (169, 302)), ((2, 138), (197, 338)),
          ((4, 385), (7, 12)), ((2, 33), (5, 39)), ((2, 585), (1, 7))]
@@ -53,13 +57,25 @@ def _large_sizes(rng: random.Random) -> tuple[int, int]:
     return (top, other) if rng.random() < 0.5 else (other, top)
 
 
+def _verdict(check, a: tuple[int, int], b: tuple[int, int]) -> dict:
+    verdict = check(OrderStatSpec(*a), OrderStatSpec(*b))
+    return {"status": verdict.status.value, "detail": verdict.condition_name,
+            "inf_z": verdict.lhs_witness.hex()}
+
+
 def _record(a: tuple[int, int], b: tuple[int, int]) -> dict:
-    row: dict = {"a": list(a), "b": list(b)}
-    for frame, check in (("DDA", check_ss_dda), ("DHRA", check_ss_dhra)):
-        verdict = check(OrderStatSpec(*a), OrderStatSpec(*b))
-        row[frame] = {"status": verdict.status.value, "detail": verdict.condition_name,
-                      "inf_z": verdict.lhs_witness.hex()}
-    return row
+    return {"a": list(a), "b": list(b),
+            "DDA": _verdict(check_ss_dda, a, b), "DHRA": _verdict(check_ss_dhra, a, b)}
+
+
+def _exhaustive() -> list[dict]:
+    specs = [(i, n) for n in range(1, 13) for i in range(1, n + 1)]
+    return [
+        {"a": list(a), "b": list(b), "DDA": _verdict(check_ss_dda, a, b),
+         "candidates": [s.hex() for s in _critical_candidates(OrderStatSpec(*a),
+                                                               OrderStatSpec(*b))]}
+        for a in specs for b in specs if a != b
+    ]
 
 
 def main() -> None:
@@ -74,6 +90,8 @@ def main() -> None:
     }
     verdicts = {name: [_record(a, b) for a, b in pairs] for name, pairs in sets.items()}
     (out / "verdicts.json").write_text(json.dumps(verdicts, indent=1) + "\n", encoding="utf-8")
+    (out / "exhaustive.json").write_text(json.dumps(_exhaustive(), indent=1) + "\n",
+                                         encoding="utf-8")
     for n, m in REGION_SIZES:
         (out / f"dhra_{n}x{m}.csv").write_text(region_map_dhra(n, m).to_csv(), encoding="utf-8")
 

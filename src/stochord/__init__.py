@@ -13,7 +13,7 @@ Layering, bottom up:
                 the one table of transformed means E[G^{-1}(B_{i:n})]
     orderstat   the law G^{-1}(B_{i:n}) that the oracle probes take
     conditions  icv/icx checks: rank precondition, then two table means
-    ssverify    the star-shaped criterion, root solver, and region maps
+    ssverify    the star-shaped criterion, private kernel solver, region maps
     bounds      exceedance bounds and the empirical plug-in interval
     oracle      scipy-only quadrature probes, deliberately independent
     cli         the `stochord` command
@@ -53,7 +53,6 @@ _EXPORTS = {
     "ssverify": (
         "CellClass",
         "RegionMap",
-        "beta_kernel_roots",
         "ss_margin_dda",
         "ss_margin_dhra",
         "check_ss_dda",

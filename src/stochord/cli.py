@@ -169,11 +169,6 @@ def compare(class_name: str, a_text: str, b_text: str, json_path) -> int:
         verdict = check_icx(shape, a, b)
     else:
         verdict = _ss("check_ss", shape.value)(a, b)
-    click.echo(
-        f"order={verdict.order} status={verdict.status.value} "
-        f"lhs={_fmt(verdict.lhs_witness)} rhs={_fmt(verdict.rhs_witness)} "
-        f'condition="{verdict.condition_name}"'
-    )
     if json_path:
         config = {"class": shape.value, "a": a_text, "b": b_text,
                   "order": verdict.order}
@@ -187,6 +182,11 @@ def compare(class_name: str, a_text: str, b_text: str, json_path) -> int:
             "rhs_witness": verdict.rhs_witness,
             "condition": verdict.condition_name,
         }))
+    click.echo(
+        f"order={verdict.order} status={verdict.status.value} "
+        f"lhs={_fmt(verdict.lhs_witness)} rhs={_fmt(verdict.rhs_witness)} "
+        f'condition="{verdict.condition_name}"'
+    )
     return 0 if verdict.holds else 2
 
 
@@ -244,11 +244,6 @@ def verify_ss(frame: str, a_text: str, b_text: str, json_path) -> int:
     a = _parse_spec(a_text, "--a")
     b = _parse_spec(b_text, "--b")
     verdict = _ss("check_ss", frame)(a, b)
-    click.echo(
-        f"frame={frame.upper()} status={verdict.status.value} "
-        f"inf_z={_fmt(verdict.lhs_witness)} "
-        f'detail="{verdict.condition_name}"'
-    )
     if json_path:
         config = {"frame": frame.upper(), "a": a_text, "b": b_text}
         _write_atomic(json_path, _dump_json("verify-ss", config, {
@@ -259,6 +254,11 @@ def verify_ss(frame: str, a_text: str, b_text: str, json_path) -> int:
             "inf_z": verdict.lhs_witness,
             "detail": verdict.condition_name,
         }))
+    click.echo(
+        f"frame={frame.upper()} status={verdict.status.value} "
+        f"inf_z={_fmt(verdict.lhs_witness)} "
+        f'detail="{verdict.condition_name}"'
+    )
     return 0 if verdict.holds else 2
 
 
@@ -284,14 +284,6 @@ def data_interval(data_path: str, spec_text: str, lower_class: str,
     data = _read_data_file(data_path)
     result = ecdf_plugin_interval(data, lo_shape, hi_shape, s)
     b = result.bound
-    click.echo(
-        f"p_lo={_fmt(b.p_lo)} p_hi={_fmt(b.p_hi)} "
-        f"rank_lo={result.rank_lo} rank_hi={result.rank_hi} "
-        f"x_lo={_fmt(result.x_lo)} x_hi={_fmt(result.x_hi)} "
-        f"n_data={result.n_data} feasible={'true' if b.feasible else 'false'}"
-    )
-    if b.note:
-        click.echo(b.note, err=True)
     if json_path:
         config = {"data": os.path.basename(data_path), "spec": spec_text,
                   "lower_class": lo_shape.value, "upper_class": hi_shape.value}
@@ -311,6 +303,14 @@ def data_interval(data_path: str, spec_text: str, lower_class: str,
             "feasible": b.feasible,
             "note": b.note,
         }))
+    click.echo(
+        f"p_lo={_fmt(b.p_lo)} p_hi={_fmt(b.p_hi)} "
+        f"rank_lo={result.rank_lo} rank_hi={result.rank_hi} "
+        f"x_lo={_fmt(result.x_lo)} x_hi={_fmt(result.x_hi)} "
+        f"n_data={result.n_data} feasible={'true' if b.feasible else 'false'}"
+    )
+    if b.note:
+        click.echo(b.note, err=True)
     return 0 if b.feasible else 2
 
 
@@ -388,11 +388,6 @@ def probe(order: str, reference: str, a_text: str, b_text: str,
         )
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
-    click.echo(
-        f"order={result.order} passed={'true' if result.passed else 'false'} "
-        f"worst_margin={_fmt(result.worst_margin)} "
-        f"worst_point={_fmt(result.worst_point)} grid_size={result.grid_size}"
-    )
     if json_path:
         config = {"order": order, "reference": dist.value, "a": a_text,
                   "b": b_text, "grid_size": grid_size, "tol": tol}
@@ -407,6 +402,11 @@ def probe(order: str, reference: str, a_text: str, b_text: str,
             "grid_size": result.grid_size,
             "tol": result.tol,
         }))
+    click.echo(
+        f"order={result.order} passed={'true' if result.passed else 'false'} "
+        f"worst_margin={_fmt(result.worst_margin)} "
+        f"worst_point={_fmt(result.worst_point)} grid_size={result.grid_size}"
+    )
     return 0 if result.passed else 2
 
 

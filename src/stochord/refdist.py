@@ -66,16 +66,6 @@ class OrderStatSpec:
         if not 1 <= self.i <= self.n:
             raise ValueError(f"need 1 <= i <= n, got i={self.i} n={self.n}")
 
-    @property
-    def alpha(self) -> int:
-        """First beta parameter of B_{i:n}."""
-        return self.i
-
-    @property
-    def beta(self) -> int:
-        """Second beta parameter of B_{i:n}."""
-        return self.n - self.i + 1
-
 
 def cdf(dist: ReferenceDistribution, x: float) -> float:
     """G(x) for the reference distribution.

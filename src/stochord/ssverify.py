@@ -16,10 +16,11 @@ B_{j:m} those are the roots in (0, 1) of the kernel equation
 
     x^(i-j) (1-x)^((n-i)-(m-j)) = B(i, n-i+1) / B(j, m-j+1),
 
-taken at r = 1 - e^-x in the exponential frame.  The solver takes the
-constant as its logarithm, a difference of log-betas, which stays finite
-where the ratio itself overflows or underflows, and returns log-odds s,
-read as x = 1/(1 + e^-s) or x = log(1 + e^s), finite as r rounds to 1.
+taken at r = 1 - e^-x in the exponential frame.  The private solver takes
+the constant as its logarithm, a difference of log-betas, which stays finite
+where the ratio itself overflows or underflows, and returns the sign changes
+as log-odds s, read as x = 1/(1 + e^-s) or x = log(1 + e^s), finite as r
+rounds to 1; a tangency is none, as Z' keeps its sign through it.
 
 So both frames take the minimum of Z over one candidate list: x = 0, where
 Z is a difference of two entries of refdist's table of means, the kernel
@@ -51,7 +52,6 @@ from .specfun import log_beta, reg_inc_beta
 __all__ = [
     "CellClass",
     "RegionMap",
-    "beta_kernel_roots",
     "ss_margin_dda",
     "ss_margin_dhra",
     "check_ss_dda",
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 _S_BOUND = 700.0          # log-odds search range; covers x down to ~1e-304
-_TANGENCY_TOL = 1e-12     # log-domain tolerance for a double root
 _HOLDS_TOL = 1e-12        # Z minimum above -this counts as nonnegative
 _GRID_POINTS = 10_000
 
@@ -72,29 +71,21 @@ def _log_sigmoid(s: float) -> float:
     return s - math.log1p(math.exp(s))
 
 
-def beta_kernel_roots(a: float, b: float, log_c: float) -> tuple[float, ...]:
-    """All roots of x^a (1-x)^b = c on (0, 1), ascending, given log_c = ln c.
-
-    Solved in log-odds coordinates s = ln(x/(1-x)) so roots close to either
-    endpoint keep relative accuracy.  Bisection alone suffices: 64 halvings
-    of the +-700 bracket leave it 1400/2^64 ~ 7.6e-17 (or one ulp of s)
-    wide, a relative change in x = 1/(1 + e^-s) or log(1 + e^s) below half
-    a double's spacing, so Newton steps could only move last bits.  The
-    kernel is monotone when ab <= 0 (at most one root) and single-peaked/
-    single-dipped when ab > 0 (at most two, with a tangency collapsing them
-    onto the stationary point a/(a+b)).
-    """
-    # the logistic cdf is increasing: x-order matches s-order
-    return tuple(cdf(ReferenceDistribution.LOGISTIC, s) for s in _kernel_log_odds(a, b, log_c))
-
-
 def _kernel_log_odds(a: float, b: float, log_c: float) -> tuple[float, ...]:
-    """The roots of beta_kernel_roots as log-odds s, ascending."""
-    if a == 0.0 and b == 0.0:
-        raise ValueError("beta_kernel_roots needs (a, b) != (0, 0)")
-    if not math.isfinite(log_c):
-        raise ValueError(f"beta_kernel_roots needs a finite ln c, got {log_c}")
+    """The sign changes of x^a (1-x)^b - c on (0, 1), ascending, given
+    log_c = ln c, as log-odds s = ln(x/(1-x)).
 
+    Log-odds keep relative accuracy for roots close to either endpoint.
+    Bisection alone suffices: 64 halvings of the +-700 bracket leave it
+    1400/2^64 ~ 7.6e-17 (or one ulp of s) wide, a relative change in
+    x = 1/(1 + e^-s) or log(1 + e^s) below half a double's spacing, so
+    Newton steps could only move last bits.  The kernel is monotone when
+    ab <= 0 (at most one root) and single-peaked or single-dipped when
+    ab > 0 (at most two).  A tangency at its stationary point a/(a+b) is
+    no root: the densities touch without crossing, so Z' keeps its sign and
+    Z has no extremum there.  Equal specs never get here, so (a, b) !=
+    (0, 0), and log_c is a finite difference of log-betas.
+    """
     def g(s: float) -> float:
         return a * _log_sigmoid(s) + b * _log_sigmoid(-s) - log_c
 
@@ -114,17 +105,14 @@ def _kernel_log_odds(a: float, b: float, log_c: float) -> tuple[float, ...]:
     s_roots: list[float] = []
     if a * b > 0.0:
         s_star = math.log(a / b)  # x* = a/(a+b)
-        if abs(g(s_star)) <= _TANGENCY_TOL:
-            s_roots.append(s_star)
-        else:
-            # g is monotone on each side of its extremum at s_star, so a
-            # sign change on a half brackets that half's only root
-            for lo, hi in ((-_S_BOUND, s_star), (s_star, _S_BOUND)):
-                if g(lo) * g(hi) < 0.0:
-                    s_roots.append(refine(lo, hi))
+        # g is monotone on each side of its extremum at s_star, so a
+        # sign change on a half brackets that half's only root
+        for lo, hi in ((-_S_BOUND, s_star), (s_star, _S_BOUND)):
+            if g(lo) * g(hi) < 0.0:
+                s_roots.append(refine(lo, hi))
     elif g(-_S_BOUND) * g(_S_BOUND) < 0.0:
         s_roots.append(refine(-_S_BOUND, _S_BOUND))
-    return tuple(sorted(s_roots))
+    return tuple(s_roots)  # the lower half-bracket comes first
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +144,7 @@ def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, ...
     of the kernel's roots."""
     exp_a = a.i - b.i
     exp_b = (a.n - a.i) - (b.n - b.i)
-    log_c = log_beta(a.alpha, a.beta) - log_beta(b.alpha, b.beta)
+    log_c = log_beta(a.i, a.n - a.i + 1) - log_beta(b.i, b.n - b.i + 1)
     return _kernel_log_odds(float(exp_a), float(exp_b), log_c)
 
 

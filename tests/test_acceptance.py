@@ -32,7 +32,7 @@ from stochord.refdist import (
 from stochord.specfun import harmonic_sum, reg_inc_beta
 from stochord.ssverify import (
     CellClass,
-    beta_kernel_roots,
+    _kernel_log_odds,
     check_ss_dda,
     check_ss_dhra,
     region_map_dda,
@@ -278,7 +278,7 @@ def test_accept_8_root_counts():
         if a * b > 0 and abs(x0 - a / (a + b)) < 0.05:
             continue  # too close to a tangency, ill posed for any method
         c = x0**a * (1.0 - x0) ** b
-        roots = beta_kernel_roots(a, b, math.log(c))
+        roots = [1.0 / (1.0 + math.exp(-s)) for s in _kernel_log_odds(a, b, math.log(c))]
         if any(r < 0.002 or r > 0.998 for r in roots):
             continue  # outside what the fixed scan can resolve
         if len(roots) == 2 and roots[1] - roots[0] < 0.004:

@@ -225,13 +225,25 @@ def test_unwritable_output_path_is_a_runtime_error(argv, tmp_path):
 _VERIFY_SS_JSON = ["verify-ss", "--frame", "DDA", "--a", "2,3", "--b", "3,5", "--json"]
 
 
-def test_failed_write_names_the_path_given(tmp_path, capsys):
+def test_failed_write_names_the_path_given(data_dir, tmp_path, capsys):
+    # the file is written before anything is printed, so a failed write
+    # leaves stdout empty and stderr with the error alone; the data-interval
+    # run is infeasible, so it would also print a note
     path = str(tmp_path / "no_such_dir" / "x.json")
-    assert main([*_VERIFY_SS_JSON, path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert repr(path) in err
-    assert ".tmp." not in err
+    for argv in (
+        ["compare", "--class", "DDA", "--a", "2,3", "--b", "3,5", "--json"],
+        _VERIFY_SS_JSON,
+        ["data-interval", "--data", str(data_dir / "carbon_fibers.csv"), "--spec", "9,10",
+         "--lower-class", "DOR", "--upper-class", "ID", "--json"],
+        ["probe", "--order", "st", "--reference", "uniform", "--a", "3,5", "--b", "2,5",
+         "--json"],
+    ):
+        assert main([*argv, path]) == 1, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "", argv[0]
+        assert err.startswith("error:") and err.count("\n") == 1, argv[0]
+        assert repr(path) in err
+        assert ".tmp." not in err
 
 
 def test_failed_replace_leaves_no_temp_file(tmp_path, capsys, monkeypatch):

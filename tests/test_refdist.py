@@ -52,11 +52,6 @@ def test_spec_rejects_non_integer_ranks():
         OrderStatSpec(1.5, 3)
 
 
-def test_spec_beta_parameters():
-    s = OrderStatSpec(3, 7)
-    assert (s.alpha, s.beta) == (3, 5)
-
-
 @pytest.mark.parametrize("dist", ALL_DISTS)
 @given(p=st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 def test_quantile_cdf_roundtrip(dist, p):

@@ -19,7 +19,7 @@ from stochord.ssverify import (
     CellClass,
     _critical_candidates,
     _exp_partial_mean,
-    beta_kernel_roots,
+    _kernel_log_odds,
     check_ss_dda,
     check_ss_dhra,
     region_map_dda,
@@ -32,56 +32,54 @@ S = OrderStatSpec
 
 
 # ---------------------------------------------------------------------------
-# beta_kernel_roots
+# _kernel_log_odds, read in x = 1/(1 + e^-s)
 # ---------------------------------------------------------------------------
 
 
+def _kernel_roots(a: float, b: float, log_c: float) -> tuple[float, ...]:
+    # increasing, so the roots stay ascending; e^-s is finite for |s| <= 700
+    return tuple(1.0 / (1.0 + math.exp(-s)) for s in _kernel_log_odds(a, b, log_c))
+
+
 def test_roots_symmetric_two_root_case():
-    roots = beta_kernel_roots(1.0, 1.0, math.log(0.1875))
+    roots = _kernel_roots(1.0, 1.0, math.log(0.1875))
     assert len(roots) == 2
     assert roots[0] == pytest.approx(0.25, abs=1e-12)
     assert roots[1] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_roots_tangency_collapses_to_one():
-    # the double root sits exactly on the stationary point a/(a+b)
-    assert beta_kernel_roots(1.0, 1.0, math.log(0.25)) == (0.5,)
+    # the two crossings collapse into one double root on the stationary
+    # point a/(a+b); the densities touch there without crossing, so it is
+    # no sign change and no candidate
+    assert _kernel_log_odds(1.0, 1.0, math.log(0.25)) == ()
 
 
 def test_roots_no_crossing():
-    assert beta_kernel_roots(1.0, 1.0, math.log(0.3)) == ()
+    assert _kernel_roots(1.0, 1.0, math.log(0.3)) == ()
 
 
 def test_roots_monotone_regime():
     # T(x) = x (1-x)^{-1} is increasing from 0 to inf: one root always
-    roots = beta_kernel_roots(1.0, -1.0, math.log(3.0))
+    roots = _kernel_roots(1.0, -1.0, math.log(3.0))
     assert len(roots) == 1
     x = roots[0]
     assert x / (1.0 - x) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_roots_single_power():
-    roots = beta_kernel_roots(2.0, 0.0, math.log(0.5625))
+    roots = _kernel_roots(2.0, 0.0, math.log(0.5625))
     assert len(roots) == 1
     assert roots[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_roots_both_negative():
     # T(x) = 1/(x(1-x)) is U-shaped with minimum 4 at 1/2
-    roots = beta_kernel_roots(-1.0, -1.0, math.log(5.0))
+    roots = _kernel_roots(-1.0, -1.0, math.log(5.0))
     assert len(roots) == 2
     lo, hi = roots
     assert lo == pytest.approx(0.5 - math.sqrt(0.05), abs=1e-12)
     assert hi == pytest.approx(0.5 + math.sqrt(0.05), abs=1e-12)
-
-
-def test_roots_validation():
-    with pytest.raises(ValueError):
-        beta_kernel_roots(0.0, 0.0, math.log(0.5))
-    with pytest.raises(ValueError):
-        beta_kernel_roots(1.0, 1.0, -math.inf)  # c = 0
-    with pytest.raises(ValueError):
-        beta_kernel_roots(1.0, 1.0, math.inf)
 
 
 @given(
@@ -108,7 +106,7 @@ def test_roots_roundtrip(a, b, x0):
             x_star = a / (a + b)
         if abs(x0 - x_star) < 0.02:
             return
-    roots = beta_kernel_roots(a, b, math.log(c))
+    roots = _kernel_roots(a, b, math.log(c))
     assert roots, f"no roots returned for a={a} b={b} c={c}"
     assert min(abs(r - x0) for r in roots) < 1e-9
     for r in roots:
@@ -131,7 +129,7 @@ def test_sign_constant_between_roots():
         (3.0, 2.0, 0.01),
     ]
     for a, b, c in cases:
-        knots = [0.0, *beta_kernel_roots(a, b, math.log(c)), 1.0]
+        knots = [0.0, *_kernel_roots(a, b, math.log(c)), 1.0]
         for lo, hi in zip(knots[:-1], knots[1:]):
             xs = np.linspace(lo, hi, 1002)[1:-1]
             vals = a * np.log(xs) + b * np.log1p(-xs) - math.log(c)
