@@ -10,8 +10,11 @@ checkouts can be compared byte for byte.  The pairs are
   drawn from random.Random(1515);
 - "fixed": six pairs that earlier changes singled out.
 
-It writes OUT_DIR/verdicts.json and the DHRA region maps 3x4, 3x5, 4x5, 4x6,
-5x6 and 6x7 as OUT_DIR/dhra_<n>x<m>.csv.  It also writes the "exhaustive"
+It writes OUT_DIR/verdicts.json, the DHRA region maps 3x4, 3x5, 4x5, 4x6,
+5x6 and 6x7 as OUT_DIR/dhra_<n>x<m>.csv and the DDA region maps 20x30, 26x39
+and 50x80 as OUT_DIR/dda_<n>x<m>.csv, each map also as the JSON object of
+`region --json` (cells and both boundary lines) in OUT_DIR/<frame>_<n>x<m>.json,
+so that the mean lines are compared too.  It also writes the "exhaustive"
 set, OUT_DIR/exhaustive.json: all 6,006 ordered pairs of different (i, n)
 and (j, m) with n, m <= 12, each with its DDA verdict as above and the
 kernel roots that both frames take as candidates, as log-odds in float hex.
@@ -28,11 +31,20 @@ import pathlib
 import random
 
 from stochord.refdist import OrderStatSpec
-from stochord.ssverify import _critical_candidates, check_ss_dda, check_ss_dhra, region_map_dhra
+from stochord.ssverify import (
+    _critical_candidates,
+    check_ss_dda,
+    check_ss_dhra,
+    region_map_dda,
+    region_map_dhra,
+)
 
 FIXED = [((500, 1000), (300, 700)), ((91, 651), (169, 302)), ((2, 138), (197, 338)),
          ((4, 385), (7, 12)), ((2, 33), (5, 39)), ((2, 585), (1, 7))]
-REGION_SIZES = [(3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7)]
+REGION_MAPS = {
+    "dhra": (region_map_dhra, [(3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7)]),
+    "dda": (region_map_dda, [(20, 30), (26, 39), (50, 80)]),
+}
 
 
 def _draw_pairs(seed: int, count: int, sizes) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -92,8 +104,12 @@ def main() -> None:
     (out / "verdicts.json").write_text(json.dumps(verdicts, indent=1) + "\n", encoding="utf-8")
     (out / "exhaustive.json").write_text(json.dumps(_exhaustive(), indent=1) + "\n",
                                          encoding="utf-8")
-    for n, m in REGION_SIZES:
-        (out / f"dhra_{n}x{m}.csv").write_text(region_map_dhra(n, m).to_csv(), encoding="utf-8")
+    for frame, (build, sizes) in REGION_MAPS.items():
+        for n, m in sizes:
+            rmap = build(n, m)
+            (out / f"{frame}_{n}x{m}.csv").write_text(rmap.to_csv(), encoding="utf-8")
+            (out / f"{frame}_{n}x{m}.json").write_text(
+                json.dumps(rmap.to_json_obj(), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

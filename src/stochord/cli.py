@@ -22,11 +22,10 @@ library (conditions, bounds, refdist, specfun), and the ss verdicts
 ssverify's criterion with the same special functions, so none of them
 imports numpy or scipy.  `probe` imports the oracle, which is built on
 scipy by design (numpy, scipy.special and scipy.integrate; no subcommand
-loads scipy.stats).  Those modules are
-imported inside the commands, and their functions are looked up on the
-module at call time (`_ss` for the DDA/DHRA functions, `_probes` for the
-oracle's), so a function replaced on its module (as a tracing harness
-does) is the one that runs.
+loads scipy.stats).  Those modules are imported inside the commands, and
+their functions are looked up on the module at call time (`_ss` for the
+DDA/DHRA functions, `_probes` for the oracle's), so a function replaced on
+its module (as a tracing harness does) is the one that runs.
 """
 
 from __future__ import annotations
@@ -49,6 +48,9 @@ from .conditions import (
 from .refdist import OrderStatSpec, ReferenceDistribution
 
 __all__ = ["main", "cli", "CliUsageError"]
+
+# the star-shaped classes, which are also the frames of `region` and `verify-ss`
+_SS_FRAMES = [c.value for c in ShapeClass if c.transform is TransformKind.STAR_SHAPED]
 
 
 class CliUsageError(click.UsageError):
@@ -87,17 +89,21 @@ def _parse_reference(name: str) -> ReferenceDistribution:
         raise CliUsageError(f"unknown reference {name!r}; valid: {valid}") from None
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temporary file beside it; a failure is
-    reported against path and leaves no temporary file behind."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _write_atomic(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text) through a temporary file beside its path, all
+    before the first rename, so a failed write replaces no path; a failure is
+    reported against its path and leaves no temporary file behind."""
+    tmps = [f"{path}.tmp.{os.getpid()}.{k}" for k, (path, _) in enumerate(outputs)]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for tmp, (path, text) in zip(tmps, outputs):
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, (path, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):  # open may have failed before creating it
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):  # not created, or renamed already
+                os.remove(tmp)
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
@@ -147,8 +153,7 @@ def cli() -> None:
 
 @cli.command()
 @click.option("--class", "class_name", required=True, metavar="CLASS",
-              help="Shape class of the parent (DD, ID, DDA, IHR, DHR, DHRA, "
-                   "DRHR, IOR, DOR, ILOR, DLOR, DROR).")
+              help=f"Shape class of the parent ({', '.join(c.value for c in ShapeClass)}).")
 @click.option("--a", "a_text", required=True, metavar="I,N",
               help="Left order statistic, rank and sample size.")
 @click.option("--b", "b_text", required=True, metavar="J,M",
@@ -172,7 +177,7 @@ def compare(class_name: str, a_text: str, b_text: str, json_path) -> int:
     if json_path:
         config = {"class": shape.value, "a": a_text, "b": b_text,
                   "order": verdict.order}
-        _write_atomic(json_path, _dump_json("compare", config, {
+        _write_atomic((json_path, _dump_json("compare", config, {
             "a": _spec_obj(a),
             "b": _spec_obj(b),
             "class": shape.value,
@@ -181,7 +186,7 @@ def compare(class_name: str, a_text: str, b_text: str, json_path) -> int:
             "lhs_witness": verdict.lhs_witness,
             "rhs_witness": verdict.rhs_witness,
             "condition": verdict.condition_name,
-        }))
+        })))
     click.echo(
         f"order={verdict.order} status={verdict.status.value} "
         f"lhs={_fmt(verdict.lhs_witness)} rhs={_fmt(verdict.rhs_witness)} "
@@ -192,7 +197,7 @@ def compare(class_name: str, a_text: str, b_text: str, json_path) -> int:
 
 @cli.command()
 @click.option("--class", "class_name", required=True,
-              type=click.Choice(["DDA", "DHRA"], case_sensitive=False),
+              type=click.Choice(_SS_FRAMES, case_sensitive=False),
               help="Star-shaped frame for the map.")
 @click.option("-n", "n", required=True, type=click.IntRange(min=1))
 @click.option("-m", "m", required=True, type=click.IntRange(min=1))
@@ -207,12 +212,13 @@ def region(class_name: str, n: int, m: int, csv_path, json_path) -> int:
         raise CliUsageError(f"region map needs n <= m, got n={n} m={m}")
     rmap = _ss("region_map", class_name)(n, m)
     csv_text = rmap.to_csv()
-    if csv_path:
-        _write_atomic(csv_path, csv_text)
+    outputs = [(csv_path, csv_text)] if csv_path else []
     if json_path:
         config = {"class": class_name.upper(), "n": n, "m": m}
-        _write_atomic(json_path, _dump_json("region", config, rmap.to_json_obj()))
-    if not csv_path and not json_path:
+        outputs.append((json_path, _dump_json("region", config, rmap.to_json_obj())))
+    if outputs:
+        _write_atomic(*outputs)
+    else:
         click.echo(csv_text, nl=False)
     return 0
 
@@ -225,7 +231,7 @@ def bounds_table_cmd(n: int, csv_path) -> int:
     """Exceedance-bound table: rows LL, E, U, E- by reference, columns by rank."""
     text = bound_table_csv(n)
     if csv_path:
-        _write_atomic(csv_path, text)
+        _write_atomic((csv_path, text))
     else:
         click.echo(text, nl=False)
     return 0
@@ -233,7 +239,7 @@ def bounds_table_cmd(n: int, csv_path) -> int:
 
 @cli.command("verify-ss")
 @click.option("--frame", required=True,
-              type=click.Choice(["DDA", "DHRA"], case_sensitive=False))
+              type=click.Choice(_SS_FRAMES, case_sensitive=False))
 @click.option("--a", "a_text", required=True, metavar="I,N")
 @click.option("--b", "b_text", required=True, metavar="J,M")
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False))
@@ -246,14 +252,14 @@ def verify_ss(frame: str, a_text: str, b_text: str, json_path) -> int:
     verdict = _ss("check_ss", frame)(a, b)
     if json_path:
         config = {"frame": frame.upper(), "a": a_text, "b": b_text}
-        _write_atomic(json_path, _dump_json("verify-ss", config, {
+        _write_atomic((json_path, _dump_json("verify-ss", config, {
             "a": _spec_obj(a),
             "b": _spec_obj(b),
             "frame": frame.upper(),
             "status": verdict.status.value,
             "inf_z": verdict.lhs_witness,
             "detail": verdict.condition_name,
-        }))
+        })))
     click.echo(
         f"frame={frame.upper()} status={verdict.status.value} "
         f"inf_z={_fmt(verdict.lhs_witness)} "
@@ -287,7 +293,7 @@ def data_interval(data_path: str, spec_text: str, lower_class: str,
     if json_path:
         config = {"data": os.path.basename(data_path), "spec": spec_text,
                   "lower_class": lo_shape.value, "upper_class": hi_shape.value}
-        _write_atomic(json_path, _dump_json("data-interval", config, {
+        _write_atomic((json_path, _dump_json("data-interval", config, {
             "spec": _spec_obj(s),
             "lower_class": lo_shape.value,
             "upper_class": hi_shape.value,
@@ -302,7 +308,7 @@ def data_interval(data_path: str, spec_text: str, lower_class: str,
             "n_data": result.n_data,
             "feasible": b.feasible,
             "note": b.note,
-        }))
+        })))
     click.echo(
         f"p_lo={_fmt(b.p_lo)} p_hi={_fmt(b.p_hi)} "
         f"rank_lo={result.rank_lo} rank_hi={result.rank_hi} "
@@ -335,13 +341,6 @@ def _read_data_file(path: str) -> list[float]:
 _PROBE_ORDERS = ("icv", "icx", "ss", "st")
 
 
-def _finite_tol(ctx, param, value: float) -> float:
-    # FloatRange(min=0) lets nan and inf through
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{value!r} is not a finite number.", ctx, param)
-    return value
-
-
 def _probes() -> dict:
     """Order name -> oracle probe function, as the oracle binds it now."""
     from . import oracle
@@ -361,17 +360,14 @@ def __getattr__(name: str):
 @click.option("--order", required=True, type=click.Choice(_PROBE_ORDERS),
               help="Which integral characterisation to test.")
 @click.option("--reference", required=True, metavar="REF",
-              help="Common reference distribution (uniform, exponential, "
-                   "logistic, log-logistic-1, neg-exponential, neg-log-logistic-1).")
+              help="Common reference distribution "
+                   f"({', '.join(d.value for d in ReferenceDistribution)}).")
 @click.option("--a", "a_text", required=True, metavar="I,N")
 @click.option("--b", "b_text", required=True, metavar="J,M")
 @click.option("--grid-size", default=61, type=click.IntRange(min=3), show_default=True)
-@click.option("--tol", default=1e-9, type=click.FloatRange(min=0),
-              callback=_finite_tol, show_default=True,
-              help="Margin below -tol refutes the ordering.")
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False))
 def probe(order: str, reference: str, a_text: str, b_text: str,
-          grid_size: int, tol: float, json_path) -> int:
+          grid_size: int, json_path) -> int:
     """Quadrature cross-check of an ordering on a quantile grid.
 
     This bypasses every closed form in the package; exit 0 when no grid
@@ -384,14 +380,14 @@ def probe(order: str, reference: str, a_text: str, b_text: str,
     try:
         result = _probes()[order](
             TransformedOrderStat(dist, a), TransformedOrderStat(dist, b),
-            grid_size=grid_size, tol=tol,
+            grid_size=grid_size,
         )
     except ValueError as exc:
         raise CliUsageError(str(exc)) from None
     if json_path:
         config = {"order": order, "reference": dist.value, "a": a_text,
-                  "b": b_text, "grid_size": grid_size, "tol": tol}
-        _write_atomic(json_path, _dump_json("probe", config, {
+                  "b": b_text, "grid_size": grid_size, "tol": result.tol}
+        _write_atomic((json_path, _dump_json("probe", config, {
             "a": _spec_obj(a),
             "b": _spec_obj(b),
             "order": result.order,
@@ -401,7 +397,7 @@ def probe(order: str, reference: str, a_text: str, b_text: str,
             "worst_point": result.worst_point,
             "grid_size": result.grid_size,
             "tol": result.tol,
-        }))
+        })))
     click.echo(
         f"order={result.order} passed={'true' if result.passed else 'false'} "
         f"worst_margin={_fmt(result.worst_margin)} "

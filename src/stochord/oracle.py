@@ -28,8 +28,8 @@ with a common reference G:
     icx:  E[(W_a - t)+] <= E[(W_b - t)+]        for all t
 
 Margins are oriented so that nonnegative means "consistent with the claim";
-a margin below -tol is a refutation at quadrature accuracy, and a nan margin
-(the referee could not evaluate it) fails the probe as well.
+a margin below -_PROBE_TOL is a refutation at quadrature accuracy, and a nan
+margin (the referee could not evaluate it) fails the probe as well.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _probe_grid(
     return pooled[np.isfinite(pooled)]
 
 
-def _run_probe(order, w_a, w_b, grid_size, tol, margin_at) -> OrderProbe:
+def _run_probe(order, w_a, w_b, grid_size, margin_at) -> OrderProbe:
     ts = _probe_grid(w_a, w_b, grid_size)
     worst_margin = math.inf
     worst_point = math.nan
@@ -234,11 +234,11 @@ def _run_probe(order, w_a, w_b, grid_size, tol, margin_at) -> OrderProbe:
                 break  # no margin is worse: the referee could not decide here
     return OrderProbe(
         order=order,
-        passed=worst_margin >= -tol,
+        passed=worst_margin >= -_PROBE_TOL,
         worst_margin=worst_margin,
         worst_point=worst_point,
         grid_size=grid_size,
-        tol=tol,
+        tol=_PROBE_TOL,
     )
 
 
@@ -247,11 +247,10 @@ def probe_st(
     w_b: TransformedOrderStat,
     *,
     grid_size: int = 61,
-    tol: float = _PROBE_TOL,
 ) -> OrderProbe:
     """Does W_a >= W_b in the usual stochastic order, on a quantile grid?"""
     return _run_probe(
-        "st", w_a, w_b, grid_size, tol,
+        "st", w_a, w_b, grid_size,
         lambda t: _cdf_w(w_b.dist, w_b.spec, t) - _cdf_w(w_a.dist, w_a.spec, t),
     )
 
@@ -261,7 +260,6 @@ def probe_ss(
     w_b: TransformedOrderStat,
     *,
     grid_size: int = 61,
-    tol: float = _PROBE_TOL,
 ) -> OrderProbe:
     """Upper-partial-mean comparison on [0, inf); needs nonnegative support."""
     for w in (w_a, w_b):
@@ -271,7 +269,7 @@ def probe_ss(
                 f"got reference {w.dist.value!r}"
             )
     return _run_probe(
-        "ss", w_a, w_b, grid_size, tol,
+        "ss", w_a, w_b, grid_size,
         lambda t: _margin(
             _upper_partial(w_a.dist, w_a.spec, t),
             _upper_partial(w_b.dist, w_b.spec, t),
@@ -284,7 +282,6 @@ def probe_icv(
     w_b: TransformedOrderStat,
     *,
     grid_size: int = 61,
-    tol: float = _PROBE_TOL,
 ) -> OrderProbe:
     """E[min(W, t)] comparison: W_a should dominate W_b."""
 
@@ -295,7 +292,7 @@ def probe_icv(
         return lp + t * (1.0 - _cdf_w(w.dist, w.spec, t))
 
     return _run_probe(
-        "icv", w_a, w_b, grid_size, tol,
+        "icv", w_a, w_b, grid_size,
         lambda t: _margin(emin(w_a, t), emin(w_b, t)),
     )
 
@@ -305,7 +302,6 @@ def probe_icx(
     w_b: TransformedOrderStat,
     *,
     grid_size: int = 61,
-    tol: float = _PROBE_TOL,
 ) -> OrderProbe:
     """E[(W - t)+] comparison: W_b should dominate W_a."""
 
@@ -316,6 +312,6 @@ def probe_icx(
         return up - t * (1.0 - _cdf_w(w.dist, w.spec, t))
 
     return _run_probe(
-        "icx", w_a, w_b, grid_size, tol,
+        "icx", w_a, w_b, grid_size,
         lambda t: _margin(ewedge(w_b, t), ewedge(w_a, t)),
     )

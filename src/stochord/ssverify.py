@@ -22,17 +22,22 @@ where the ratio itself overflows or underflows, and returns the sign changes
 as log-odds s, read as x = 1/(1 + e^-s) or x = log(1 + e^s), finite as r
 rounds to 1; a tangency is none, as Z' keeps its sign through it.
 
-So both frames take the minimum of Z over one candidate list: x = 0, where
-Z is a difference of two entries of refdist's table of means, the kernel
-roots, and the right end of the support, where Z = 0.  At the roots the
-uniform frame reads the incomplete beta function and the exponential frame
-a finite sum of positive binomial terms, as P(W > t) = P(Bin(n, 1 - e^-t)
-<= i-1); no quadrature runs.  That sum is formed from its largest binomial
-mass, the one term taken in log space, by a walk of ratios outward from it
-(the start-at-the-bulk scheme of Loader, "Fast and accurate computation of
-binomial probabilities", 2000), with the constants of each spec built once
-per sequence of x.  The exponential frame appends the minimum of that
-closed form over a sign grid, streamed point by point, as a cross-check.
+So both frames take the minimum of Z over one candidate list, in one
+checker that reads the frame's reference from the class catalogue: x = 0,
+where Z is a difference of two entries of refdist's table of means, the
+kernel roots, and the right end of the support, where Z = 0.  The sign of
+Z(0) is exact in the uniform frame: i/(n+1) and j/(m+1) are each correctly
+rounded, two different ones lie at least 1/((n+1)(m+1)) > 2^-52 apart while
+(n+1)(m+1) < 2^52, so rounding keeps their order and their equality, and a
+float subtraction keeps the sign.  At the roots the uniform frame reads the
+incomplete beta function and the exponential frame a finite sum of positive
+binomial terms, as P(W > t) = P(Bin(n, 1 - e^-t) <= i-1); no quadrature
+runs.  That sum is formed from its largest binomial mass, the one term taken
+in log space, by a walk of ratios outward from it (the start-at-the-bulk
+scheme of Loader, "Fast and accurate computation of binomial
+probabilities", 2000), with the constants of each spec built once per
+sequence of x.  The exponential frame appends the minimum of that closed
+form over a sign grid, streamed point by point, as a cross-check.
 The module needs only the standard library.
 """
 
@@ -45,7 +50,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .conditions import OrderVerdict, VerdictStatus
+from .conditions import OrderVerdict, ShapeClass, VerdictStatus
 from .refdist import OrderStatSpec, ReferenceDistribution, cdf, expected_transformed_orderstat
 from .specfun import log_beta, reg_inc_beta
 
@@ -148,33 +153,33 @@ def _critical_candidates(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, ...
     return _kernel_log_odds(float(exp_a), float(exp_b), log_c)
 
 
-def _candidate_points(ref: ReferenceDistribution, a: OrderStatSpec, b: OrderStatSpec,
-                      to_x, margin) -> list[tuple[float, float]]:
-    """(x, Z(x)) at x = 0, at each kernel root and at the right end of ref's
-    support, in that order.  Z(0) is a difference of two entries of the table
-    of transformed means and Z vanishes at the right end, so only the roots,
-    mapped from log-odds by to_x, need the frame's margin."""
-    z0 = expected_transformed_orderstat(ref, a) - expected_transformed_orderstat(ref, b)
-    return [
-        (0.0, z0),
-        *((x, margin(a, b, x)) for x in map(to_x, _critical_candidates(a, b))),
-        (ref.support[1], 0.0),
-    ]
+def _mean_gap(ref: ReferenceDistribution, a: OrderStatSpec, b: OrderStatSpec) -> float:
+    """Z(0) = E W_a - E W_b, two entries of the table of transformed means."""
+    return expected_transformed_orderstat(ref, a) - expected_transformed_orderstat(ref, b)
 
 
-def _ss_verdict(
-    frame: str, a: OrderStatSpec, b: OrderStatSpec, z_points, refuted: str
-) -> OrderVerdict:
-    """The ss verdict on the smallest Z among the (x, Z(x)) pairs that
-    z_points() lists; the first of equal values is the witness."""
+def _ss_verdict(shape: ShapeClass, a: OrderStatSpec, b: OrderStatSpec, margin,
+                cross_check=None) -> OrderVerdict:
+    """The ss verdict of a star-shaped class on the smallest Z among the
+    (x, Z(x)) at x = 0, at each kernel root, read by margin, at the right
+    end of the class reference's support, and then cross_check(a, b) if
+    given; the first of equal values is the witness."""
     if a == b:
         return OrderVerdict("ss", VerdictStatus.HOLDS, 0.0, 0.0,
-                            f"{frame}: identical specs, Z == 0")
-    z_arg, z_min = min(z_points(), key=lambda p: p[1])
+                            f"{shape.value}: identical specs, Z == 0")
+    ref = shape.reference
+    to_x, refuted, _ = _FRAMES[ref]
+    points = [
+        (0.0, _mean_gap(ref, a, b)),
+        *((x, margin(a, b, x)) for x in map(to_x, _critical_candidates(a, b))),
+        (ref.support[1], 0.0),
+        *([cross_check(a, b)] if cross_check else []),
+    ]
+    z_arg, z_min = min(points, key=operator.itemgetter(1))
     status = VerdictStatus.HOLDS if z_min >= -_HOLDS_TOL else VerdictStatus.UNDETERMINED
     return OrderVerdict(
         "ss", status, z_min, 0.0,
-        f"{frame}: inf Z = {z_min:.6e} at x = {z_arg:.9f}"
+        f"{shape.value}: inf Z = {z_min:.6e} at x = {z_arg:.9f}"
         + ("" if status is VerdictStatus.HOLDS else f" (negative witness: no ss-dominance {refuted})"),
     )
 
@@ -189,10 +194,7 @@ def check_ss_dda(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
     Holds/Undetermined vocabulary because for a general DDA parent only the
     positive direction transfers.
     """
-    return _ss_verdict("DDA", a, b, lambda: _candidate_points(
-        ReferenceDistribution.UNIFORM, a, b,
-        lambda s: cdf(ReferenceDistribution.LOGISTIC, s), ss_margin_dda,
-    ), "of the beta variables")
+    return _ss_verdict(ShapeClass.DDA, a, b, ss_margin_dda)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +279,12 @@ def check_ss_dhra(a: OrderStatSpec, b: OrderStatSpec) -> OrderVerdict:
 
     Critical points satisfy the same kernel equation as the uniform frame,
     in the variable r = 1 - e^-x, so the candidates are those of
-    check_ss_dda with Z(0) a difference of harmonic sums, and Z comes from
-    one evaluator, _exp_partial_means, whose binomial walk from the largest
-    mass serves the roots one x at a time and _dhra_grid_minimum's sign grid
-    as one stream.  The grid's minimum comes last, as a cross-check that
-    wins no tie with the candidates.
+    check_ss_dda, with Z(0) a difference of harmonic sums.  Z comes from
+    _exp_partial_means, whose binomial walk from the largest mass serves the
+    roots one x at a time and _dhra_grid_minimum's sign grid as one stream;
+    the grid's minimum comes last, as a cross-check that wins no tie.
     """
-    return _ss_verdict("DHRA", a, b, lambda: [
-        # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
-        *_candidate_points(ReferenceDistribution.EXPONENTIAL, a, b,
-                           lambda s: math.log1p(math.exp(s)), ss_margin_dhra),
-        _dhra_grid_minimum(a, b),  # last, so the candidates win ties
-    ], "in the exponential frame")
+    return _ss_verdict(ShapeClass.DHRA, a, b, ss_margin_dhra, _dhra_grid_minimum)
 
 
 def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float]:
@@ -313,6 +309,31 @@ def _dhra_grid_minimum(a: OrderStatSpec, b: OrderStatSpec) -> tuple[float, float
 # ---------------------------------------------------------------------------
 # region maps
 # ---------------------------------------------------------------------------
+
+def _harmonic_mean_line(n: int, m: int, i: int) -> float:
+    """The exponential frame's mean line: the gap is >= 0 at j = i since
+    n <= m, and falls by 1/(m-j) from j to j + 1, so interpolate between the
+    last j with gap >= 0 and the next."""
+    ref, a = ReferenceDistribution.EXPONENTIAL, OrderStatSpec(i, n)
+    j = i
+    while j < m and _mean_gap(ref, a, OrderStatSpec(j + 1, m)) >= 0.0:
+        j += 1
+    return j + (m - j) * _mean_gap(ref, a, OrderStatSpec(j, m))
+
+
+# One row per star-shaped reference: x at a kernel root's log-odds s, what a
+# negative minimum refutes, and the j at which row i of an n-by-m map
+# crosses its mean line, where Z(0) changes sign.
+_R = ReferenceDistribution
+_FRAMES = {
+    # the line's one rounding is exact where it meets an integer j
+    _R.UNIFORM: (lambda s: cdf(_R.LOGISTIC, s), "of the beta variables",
+                 lambda n, m, i: i * (m + 1) / (n + 1)),
+    # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
+    _R.EXPONENTIAL: (lambda s: math.log1p(math.exp(s)), "in the exponential frame",
+                     _harmonic_mean_line),
+}
+
 
 class CellClass(enum.Enum):
     HOLDS_SS_IJ = "HoldsSS_ij"
@@ -340,6 +361,7 @@ class RegionMap:
 
     def to_json_obj(self) -> dict:
         rows = range(1, self.n + 1)
+        mean_line = _FRAMES[ShapeClass(self.frame).reference][2]
         return {
             "frame": self.frame,
             "n": self.n,
@@ -353,54 +375,37 @@ class RegionMap:
             "boundaries": {
                 "first_order_line": [{"i": i, "j": float(i + self.m - self.n)} for i in rows],
                 "zero_mean_line": [
-                    {"i": i, "j": _mean_line(self.frame, self.n, self.m, i)} for i in rows
+                    {"i": i, "j": mean_line(self.n, self.m, i)} for i in rows
                 ],
             },
         }
 
 
-def _mean_gap(frame: str, n: int, m: int, i: int, j: int) -> float:
-    """Z(0) for (i, n) against (j, m), up to a positive factor; DDA's is
-    (n+1)(m+1) Z(0), in exact integer arithmetic."""
-    if frame == "DDA":
-        return float(i * (m + 1) - j * (n + 1))
-    ref = ReferenceDistribution.EXPONENTIAL
-    return (expected_transformed_orderstat(ref, OrderStatSpec(i, n))
-            - expected_transformed_orderstat(ref, OrderStatSpec(j, m)))
-
-
-def _mean_line(frame: str, n: int, m: int, i: int) -> float:
-    """The j at which the mean gap of row i changes sign: a band cell lies
-    above it exactly when its mean gap is negative."""
-    if frame == "DDA":
-        return i * (m + 1) / (n + 1)  # one rounding: exact where the line meets an integer j
-    # the gap is >= 0 at j = i since n <= m, and falls by 1/(m-j) from j to
-    # j + 1: interpolate between the last j with gap >= 0 and the next
-    j = i
-    while j < m and _mean_gap(frame, n, m, i, j + 1) >= 0.0:
-        j += 1
-    return j + (m - j) * _mean_gap(frame, n, m, i, j)
-
-
-def _classify_cells(n: int, m: int, frame: str, band_check) -> RegionMap:
+def _classify_cells(shape: ShapeClass, n: int, m: int, band_check) -> RegionMap:
     if not 1 <= n <= m:
         raise ValueError(f"region map needs 1 <= n <= m, got n={n} m={m}")
+    # each spec with its entry of the table of means, once per n and per m
+    rows, cols = (
+        [(s, expected_transformed_orderstat(shape.reference, s))
+         for s in map(OrderStatSpec, range(1, size + 1), itertools.repeat(size))]
+        for size in (n, m)
+    )
     cells: dict[tuple[int, int], CellClass] = {}
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if i > j:
-                cells[(i, j)] = CellClass.HOLDS_SS_IJ
-            elif n - i > m - j:
-                cells[(i, j)] = CellClass.HOLDS_SS_JI
-            elif _mean_gap(frame, n, m, i, j) < 0.0:
-                # E W_a < E W_b already refutes the i-side direction at x = 0
-                cells[(i, j)] = CellClass.NO_COMPARABILITY
+    for a, mean_a in rows:
+        for b, mean_b in cols:
+            if a.i > b.i:
+                cells[(a.i, b.i)] = CellClass.HOLDS_SS_IJ
+            elif n - a.i > m - b.i:
+                cells[(a.i, b.i)] = CellClass.HOLDS_SS_JI
+            elif mean_a < mean_b:
+                # Z(0) = E W_a - E W_b < 0 refutes the i-side direction at x = 0
+                cells[(a.i, b.i)] = CellClass.NO_COMPARABILITY
             else:
-                verdict = band_check(OrderStatSpec(i, n), OrderStatSpec(j, m))
-                cells[(i, j)] = (
-                    CellClass.NEEDS_CHECK_PASS if verdict.holds else CellClass.NEEDS_CHECK_FAIL
+                cells[(a.i, b.i)] = (
+                    CellClass.NEEDS_CHECK_PASS if band_check(a, b).holds
+                    else CellClass.NEEDS_CHECK_FAIL
                 )
-    return RegionMap(n=n, m=m, frame=frame, cells=cells)
+    return RegionMap(n=n, m=m, frame=shape.value, cells=cells)
 
 
 def region_map_dda(n: int, m: int) -> RegionMap:
@@ -409,9 +414,10 @@ def region_map_dda(n: int, m: int) -> RegionMap:
     First-order regions win outright (i > j, or n-i > m-j for the reverse
     direction); above the straight line j = (m+1)/(n+1) i the criterion
     fails already at x = 0; the remaining band is settled by check_ss_dda.
-    The mean line is tested in exact integer arithmetic.
+    The mean line is tested on Z(0) = i/(n+1) - j/(m+1), whose sign the
+    rounding keeps (see the module docstring).
     """
-    return _classify_cells(n, m, "DDA", check_ss_dda)
+    return _classify_cells(ShapeClass.DDA, n, m, check_ss_dda)
 
 
 def region_map_dhra(n: int, m: int) -> RegionMap:
@@ -421,4 +427,4 @@ def region_map_dhra(n: int, m: int) -> RegionMap:
     harmonic-sum difference curve (the x = 0 value of the exponential-frame
     criterion), and the band is settled by check_ss_dhra.
     """
-    return _classify_cells(n, m, "DHRA", check_ss_dhra)
+    return _classify_cells(ShapeClass.DHRA, n, m, check_ss_dhra)

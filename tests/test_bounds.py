@@ -4,6 +4,8 @@ import math
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochord.bounds import (
     _empirical_rank,
@@ -61,10 +63,20 @@ def test_bound_table_n1():
     assert rows["E-"][0] == pytest.approx(math.exp(-1.0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 17, 30])
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(min_value=1, max_value=3000))
+@example(n=1)
+@example(n=2)
+@example(n=3)
+@example(n=5)
+@example(n=10)
+@example(n=17)
+@example(n=30)
 def test_bound_table_rows_are_entrywise_ordered(n):
-    rows = [values for _, values in bound_table(n)]
-    labels = [label for label, _ in bound_table(n)]
+    """The p_value rows stay ordered LL >= E >= U >= E- at every rank."""
+    table = bound_table(n)
+    rows = [values for _, values in table]
+    labels = [label for label, _ in table]
     assert labels == ["LL", "E", "U", "E-"]
     for upper_row, lower_row in zip(rows[:-1], rows[1:]):
         for hi, lo in zip(upper_row, lower_row):

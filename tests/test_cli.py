@@ -244,6 +244,14 @@ def test_failed_write_names_the_path_given(data_dir, tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, argv[0]
         assert repr(path) in err
         assert ".tmp." not in err
+    # region writes both outputs or neither: the CSV that could be written
+    # is not left behind by the JSON that could not
+    csv_path = tmp_path / "r.csv"
+    assert main(["region", "--class", "DDA", "-n", "2", "-m", "3",
+                 "--csv", str(csv_path), "--json", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and repr(path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_replace_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
@@ -275,18 +283,6 @@ def test_probe_ss_on_signed_support_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert rc == 64
     assert "nonnegative support" in err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_probe_rejects_non_finite_or_negative_tol(tol, tmp_path, capsys):
-    path = tmp_path / "p.json"
-    rc = main(["probe", "--order", "st", "--reference", "uniform", "--a", "2,3",
-               "--b", "1,3", "--tol", tol, "--json", str(path)])
-    err = capsys.readouterr().err
-    assert rc == 64
-    assert "--tol" in err
-    assert not path.exists()
-    assert not list(tmp_path.iterdir())
 
 
 def _reject_constant(name: str):

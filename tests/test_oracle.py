@@ -166,7 +166,7 @@ def test_logistic_cdf_and_quantile_match_scipy_stats_bitwise():
 
 def test_nan_margin_fails_the_probe():
     w_a, w_b = _w(R.UNIFORM, 3, 5), _w(R.UNIFORM, 2, 4)
-    p = _run_probe("icv", w_a, w_b, 5, 1e-9, lambda t: math.nan)
+    p = _run_probe("icv", w_a, w_b, 5, lambda t: math.nan)
     assert not p.passed
     assert math.isnan(p.worst_margin)
     assert not math.isnan(p.worst_point)  # the first grid point, not the default
@@ -181,7 +181,7 @@ def test_nan_margin_is_reported_at_its_point():
         ts.append(t)
         return math.nan if len(ts) == 3 else (-1.0 if len(ts) == 1 else 1.0)
 
-    p = _run_probe("icv", w_a, w_b, 5, 1e-9, margin)
+    p = _run_probe("icv", w_a, w_b, 5, margin)
     assert not p.passed
     assert math.isnan(p.worst_margin)
     assert p.worst_point == ts[2]

@@ -478,14 +478,17 @@ def test_dhra_candidates_alone_reach_the_infimum(monkeypatch):
             assert verdict.holds == (grid_min > 0.0), (a, b)
 
 
-def test_dhra_grid_never_beats_the_candidates():
+def test_dhra_grid_never_beats_the_candidates(monkeypatch):
     """The sign grid is only a cross-check: its minimum lies below the
-    smallest Z of _candidate_points by at most rounding, so dropping it
-    decides no verdict.  The fixed pairs sit on both sides of n = 20, where
-    the grid goes from 10,000 points to 401.  The worst measured case is
+    smallest Z of the candidates, the verdict's inf Z with the grid taken
+    out, by at most rounding, so dropping it decides no verdict.  The fixed
+    pairs sit on both sides of n = 20, where the grid goes from 10,000
+    points to 401.  The worst measured case is
     (91,651) vs (169,302), where a grid point beats the kernel-root
     candidate by 1.42e-14 (1.74e-14 relative), the closed form's rounding
     at n = 651; at n, m <= 12 the worst is 7.3e-16 relative, (4,6) vs (4,5)."""
+    grid_minimum = ssverify._dhra_grid_minimum
+    monkeypatch.setattr(ssverify, "_dhra_grid_minimum", lambda a, b: (math.inf, 0.0))
     rng = np.random.default_rng(14)
     pairs = [(S(500, 1000), S(300, 700)), (S(91, 651), S(169, 302)), (S(2, 138), S(197, 338)),
              (S(20, 20), S(19, 20)), (S(4, 385), S(7, 12)), (S(2, 33), S(5, 39))]
@@ -495,12 +498,8 @@ def test_dhra_grid_never_beats_the_candidates():
         if a != b:
             pairs.append((a, b))
     for a, b in pairs:
-        candidates = ssverify._candidate_points(
-            ReferenceDistribution.EXPONENTIAL, a, b,
-            lambda s: math.log1p(math.exp(s)), ss_margin_dhra,
-        )
-        cand_min = min(z for _, z in candidates)
-        grid_min = ssverify._dhra_grid_minimum(a, b)[1]
+        cand_min = check_ss_dhra(a, b).lhs_witness
+        grid_min = grid_minimum(a, b)[1]
         assert grid_min >= cand_min - 1e-13 * abs(cand_min), (a, b, grid_min, cand_min)
 
 
@@ -615,13 +614,23 @@ def _assert_mean_line_splits_the_band(rm):
             assert above == (rm.cells[(i, j)] is CellClass.NO_COMPARABILITY), (rm.n, rm.m, i, j)
 
 
+def _assert_integer_mean_rule(rm):
+    # the DDA mean gap i/(n+1) - j/(m+1) is a float difference; its sign is
+    # the exact one of i(m+1) - j(n+1)
+    for i in range(1, rm.n + 1):
+        for j in _band(rm, i):
+            below = i * (rm.m + 1) < j * (rm.n + 1)
+            assert below == (rm.cells[(i, j)] is CellClass.NO_COMPARABILITY), (rm.n, rm.m, i, j)
+
+
 _dhra_map = functools.cache(region_map_dhra)
 
 
 def test_zero_mean_line_splits_the_band(monkeypatch):
     """A band cell lies above the --json mean line exactly when the map calls
     it NoComparability: on 13 x 121 the line meets j = 61 at i = 7, and on
-    DHRA 1 x 6 the harmonic mean gap stays >= 0 up to j = 4."""
+    DHRA 1 x 6 the harmonic mean gap stays >= 0 up to j = 4.  In the DDA
+    frame that is also the integer rule i(m+1) < j(n+1)."""
     for n, m in ((13, 121), (3, 4), (1, 6)):
         _assert_mean_line_splits_the_band(region_map_dda(n, m))
     for n, m in ((1, 6), (3, 4), (4, 5), (4, 6)):
@@ -633,7 +642,13 @@ def test_zero_mean_line_splits_the_band(monkeypatch):
     monkeypatch.setattr(ssverify, "check_ss_dhra", lambda a, b: holds)
     for n in range(1, 31):
         for m in range(n, 2 * n + 2):
-            _assert_mean_line_splits_the_band(ssverify.region_map_dda(n, m))
+            rm = ssverify.region_map_dda(n, m)
+            _assert_mean_line_splits_the_band(rm)
+            _assert_integer_mean_rule(rm)
+    for n, m in ((100, 301), (200, 320)):
+        rm = ssverify.region_map_dda(n, m)
+        _assert_mean_line_splits_the_band(rm)
+        _assert_integer_mean_rule(rm)
     for n in range(1, 4):
         for m in range(n, n + 9):
             _assert_mean_line_splits_the_band(ssverify.region_map_dhra(n, m))
