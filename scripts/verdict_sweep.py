@@ -18,8 +18,14 @@ so that the mean lines are compared too.  It also writes the "exhaustive"
 set, OUT_DIR/exhaustive.json: all 6,006 ordered pairs of different (i, n)
 and (j, m) with n, m <= 12, each with its DDA verdict as above and the
 kernel roots that both frames take as candidates, as log-odds in float hex.
-That set runs no DHRA sign grid, so it takes seconds.  The script needs only
-the standard library and the stochord package of the checkout under test:
+That set runs no DHRA sign grid, so it takes seconds.
+
+OUT_DIR/bounds.json covers the bounds layer: the rows of bound_table(n) for
+n in BOUND_TABLE_SIZES, p_value for all six references at every (i, n) with
+n <= 60, and the fields of ecdf_plugin_interval on the carbon-fibers sample
+for every spec in PLUG_IN_SPECS and every convex-side/concave-side class
+pair, each float as a float hex.  The script needs only the standard library
+and the stochord package of the checkout under test:
 
     PYTHONPATH=src python3 scripts/verdict_sweep.py OUT_DIR
     diff -r OUT_DIR OTHER_OUT_DIR
@@ -30,7 +36,9 @@ import json
 import pathlib
 import random
 
-from stochord.refdist import OrderStatSpec
+from stochord.bounds import bound_table, ecdf_plugin_interval, p_value
+from stochord.conditions import ShapeClass, TransformKind
+from stochord.refdist import OrderStatSpec, ReferenceDistribution
 from stochord.ssverify import (
     _critical_candidates,
     check_ss_dda,
@@ -45,6 +53,11 @@ REGION_MAPS = {
     "dhra": (region_map_dhra, [(3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (6, 7)]),
     "dda": (region_map_dda, [(20, 30), (26, 39), (50, 80)]),
 }
+
+BOUND_TABLE_SIZES = (1, 2, 10, 399, 997, 3000)
+PLUG_IN_SPECS = [(1, 1), (1, 10), (3, 7), (5, 10), (9, 10), (10, 10), (7, 100), (20, 100),
+                 (100, 100)]
+CARBON = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "carbon_fibers.csv"
 
 
 def _draw_pairs(seed: int, count: int, sizes) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -90,6 +103,33 @@ def _exhaustive() -> list[dict]:
     ]
 
 
+def _plug_in(data: list[float], spec: tuple[int, int], lower: ShapeClass,
+             upper: ShapeClass) -> dict:
+    r = ecdf_plugin_interval(data, lower, upper, OrderStatSpec(*spec))
+    b = r.bound
+    return {"spec": list(spec), "lower": lower.value, "upper": upper.value,
+            "p_lo": b.p_lo.hex(), "p_hi": b.p_hi.hex(),
+            "mean_lo": b.lower.transformed_mean.hex(), "mean_hi": b.upper.transformed_mean.hex(),
+            "rank_lo": r.rank_lo, "rank_hi": r.rank_hi, "x_lo": r.x_lo.hex(), "x_hi": r.x_hi.hex(),
+            "n_data": r.n_data, "feasible": b.feasible, "note": b.note}
+
+
+def _bounds() -> dict:
+    lines = CARBON.read_text(encoding="utf-8").split()
+    data = [float(v) for v in lines[1:]]  # below a one-line header
+    lowers, uppers = ([c for c in ShapeClass if c.transform is kind]
+                      for kind in (TransformKind.CONVEX, TransformKind.CONCAVE))
+    return {
+        "bound_table": {str(n): {label: [v.hex() for v in row] for label, row in bound_table(n)}
+                        for n in BOUND_TABLE_SIZES},
+        "p_value": {dist.value: [[p_value(dist, OrderStatSpec(i, n)).hex()
+                                  for i in range(1, n + 1)] for n in range(1, 61)]
+                    for dist in ReferenceDistribution},
+        "plug_in": [_plug_in(data, spec, lo, hi)
+                    for spec in PLUG_IN_SPECS for lo in lowers for hi in uppers],
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out_dir", type=pathlib.Path)
@@ -102,6 +142,7 @@ def main() -> None:
     }
     verdicts = {name: [_record(a, b) for a, b in pairs] for name, pairs in sets.items()}
     (out / "verdicts.json").write_text(json.dumps(verdicts, indent=1) + "\n", encoding="utf-8")
+    (out / "bounds.json").write_text(json.dumps(_bounds(), indent=1) + "\n", encoding="utf-8")
     (out / "exhaustive.json").write_text(json.dumps(_exhaustive(), indent=1) + "\n",
                                          encoding="utf-8")
     for frame, (build, sizes) in REGION_MAPS.items():

@@ -35,8 +35,6 @@ _EXPORTS = {
     "refdist": (
         "ReferenceDistribution",
         "OrderStatSpec",
-        "SupportClampWarning",
-        "cdf",
         "expected_transformed_orderstat",
     ),
     "orderstat": ("TransformedOrderStat",),

@@ -28,9 +28,9 @@ from .refdist import (
     OrderStatSpec,
     ReferenceDistribution,
     _transformed_mean,
-    cdf,
     expected_transformed_orderstat,
 )
+from .specfun import _sigmoid
 
 __all__ = [
     "ExceedanceBound",
@@ -70,13 +70,22 @@ def p_value(dist: ReferenceDistribution, s: OrderStatSpec) -> float:
 
 
 def _p_value(dist: ReferenceDistribution, i: int, n: int, mean: float) -> float:
-    # mean = E[G^{-1}(B_{i:n})], computed once by the caller and reused.
-    # G(i/(n-i)) in floats misses i/n in the last bit; the ranks read it.
+    # The rows above; mean = E[G^{-1}(B_{i:n})], computed once by the caller
+    # and reused.  G(i/(n-i)) in floats misses i/n in the last bit, so the
+    # two log-logistic rows read the ranks.
+    if dist is ReferenceDistribution.UNIFORM:
+        return mean
+    if dist is ReferenceDistribution.EXPONENTIAL:
+        return -math.expm1(-mean)
+    if dist is ReferenceDistribution.LOGISTIC:
+        return _sigmoid(mean)
     if dist is ReferenceDistribution.LOG_LOGISTIC_1:
         return i / float(n)
+    if dist is ReferenceDistribution.NEG_EXPONENTIAL:
+        return math.exp(mean)
     if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
         return (i - 1) / float(n)
-    return cdf(dist, mean)
+    raise AssertionError(dist)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,16 +150,13 @@ def exceedance_interval(
     that no distribution satisfies both shape assumptions at once in a way
     compatible with this order statistic.
     """
-    if lower_shape.transform is not TransformKind.CONVEX:
-        raise UnsupportedClassError(
-            f"{lower_shape.value}: lower bound needs a convex-side class "
-            "(DD, DHR, DOR, DLOR, DRHR, DROR)"
-        )
-    if upper_shape.transform is not TransformKind.CONCAVE:
-        raise UnsupportedClassError(
-            f"{upper_shape.value}: upper bound needs a concave-side class "
-            "(ID, IHR, IOR, ILOR)"
-        )
+    for shape, kind in ((lower_shape, TransformKind.CONVEX),
+                        (upper_shape, TransformKind.CONCAVE)):
+        if shape.transform is not kind:
+            valid = ", ".join(c.value for c in ShapeClass if c.transform is kind)
+            raise UnsupportedClassError(
+                f"{shape.value}: {_SIDES[kind]} bound needs a {kind.value}-side class ({valid})"
+            )
     lo = exceedance_bound(lower_shape, s)
     hi = exceedance_bound(upper_shape, s)
     feasible = lo.p <= hi.p

@@ -7,7 +7,8 @@ Exit codes follow a sysexits-flavoured convention:
         requested interval is infeasible
     1   a runtime failure: a bad data file, an unwritable output path, or an
         incomplete beta that does not converge
-    64  malformed usage: unknown class, unparsable rank spec, bad flag
+    64  malformed usage: unknown class, a class on the wrong side of a bound,
+        unparsable rank spec, bad flag
 
 All file outputs are written atomically (temp file + rename) with LF line
 endings, and payloads are deterministic: the same resolved options yield
@@ -42,6 +43,7 @@ from .bounds import bound_table_csv, ecdf_plugin_interval
 from .conditions import (
     ShapeClass,
     TransformKind,
+    UnsupportedClassError,
     check_icv,
     check_icx,
 )
@@ -288,7 +290,10 @@ def data_interval(data_path: str, spec_text: str, lower_class: str,
     lo_shape = _parse_class(lower_class)
     hi_shape = _parse_class(upper_class)
     data = _read_data_file(data_path)
-    result = ecdf_plugin_interval(data, lo_shape, hi_shape, s)
+    try:
+        result = ecdf_plugin_interval(data, lo_shape, hi_shape, s)
+    except UnsupportedClassError as exc:
+        raise CliUsageError(str(exc)) from None
     b = result.bound
     if json_path:
         config = {"data": os.path.basename(data_path), "spec": spec_text,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 from .specfun import harmonic_sum
@@ -20,14 +19,8 @@ from .specfun import harmonic_sum
 __all__ = [
     "ReferenceDistribution",
     "OrderStatSpec",
-    "SupportClampWarning",
-    "cdf",
     "expected_transformed_orderstat",
 ]
-
-
-class SupportClampWarning(UserWarning):
-    """Raised (as a warning) when a cdf argument falls outside the support."""
 
 
 class ReferenceDistribution(enum.Enum):
@@ -65,46 +58,6 @@ class OrderStatSpec:
             raise ValueError("OrderStatSpec needs integer rank and sample size")
         if not 1 <= self.i <= self.n:
             raise ValueError(f"need 1 <= i <= n, got i={self.i} n={self.n}")
-
-
-def cdf(dist: ReferenceDistribution, x: float) -> float:
-    """G(x) for the reference distribution.
-
-    Arguments outside the support are clamped to 0 or 1, with a
-    SupportClampWarning so the clamp is never silent.
-    """
-    lo, hi = dist.support
-    if x < lo:
-        warnings.warn(
-            f"cdf argument {x} below support of {dist.value}; clamped to 0",
-            SupportClampWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    if x > hi:
-        warnings.warn(
-            f"cdf argument {x} above support of {dist.value}; clamped to 1",
-            SupportClampWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    if dist is ReferenceDistribution.UNIFORM:
-        return x
-    if dist is ReferenceDistribution.EXPONENTIAL:
-        return -math.expm1(-x)
-    if dist is ReferenceDistribution.LOGISTIC:
-        # 1/(1+e^-x), written to avoid overflow on both tails
-        if x >= 0.0:
-            return 1.0 / (1.0 + math.exp(-x))
-        e = math.exp(x)
-        return e / (1.0 + e)
-    if dist is ReferenceDistribution.LOG_LOGISTIC_1:
-        return x / (1.0 + x) if math.isfinite(x) else 1.0
-    if dist is ReferenceDistribution.NEG_EXPONENTIAL:
-        return math.exp(x)
-    if dist is ReferenceDistribution.NEG_LOG_LOGISTIC_1:
-        return 1.0 / (1.0 - x) if math.isfinite(x) else 0.0
-    raise AssertionError(dist)
 
 
 def expected_transformed_orderstat(dist: ReferenceDistribution, s: OrderStatSpec) -> float:

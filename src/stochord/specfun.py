@@ -5,7 +5,9 @@ star-shaped-order criterion) reduces to three primitives: partial harmonic
 sums (the exponential-family means of refdist's table), the log beta
 function, and the regularized incomplete beta function.  They are
 implemented here without reaching for scipy so the test suite can check
-them against an independent library.
+them against an independent library.  A private logistic sigmoid maps the
+uniform frame's kernel roots from log-odds and gives the logistic row of
+the bound table.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ def harmonic_sum(lo: int, hi: int) -> float:
     if lo < 1 or hi < lo:
         raise ValueError(f"harmonic_sum needs 1 <= lo <= hi, got lo={lo} hi={hi}")
     return math.fsum(1.0 / k for k in range(hi, lo - 1, -1))
+
+
+def _sigmoid(x: float) -> float:
+    # 1/(1+e^-x), written to avoid overflow on both tails
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -51,8 +51,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .conditions import OrderVerdict, ShapeClass, VerdictStatus
-from .refdist import OrderStatSpec, ReferenceDistribution, cdf, expected_transformed_orderstat
-from .specfun import log_beta, reg_inc_beta
+from .refdist import OrderStatSpec, ReferenceDistribution, expected_transformed_orderstat
+from .specfun import _sigmoid, log_beta, reg_inc_beta
 
 __all__ = [
     "CellClass",
@@ -327,7 +327,7 @@ def _harmonic_mean_line(n: int, m: int, i: int) -> float:
 _R = ReferenceDistribution
 _FRAMES = {
     # the line's one rounding is exact where it meets an integer j
-    _R.UNIFORM: (lambda s: cdf(_R.LOGISTIC, s), "of the beta variables",
+    _R.UNIFORM: (_sigmoid, "of the beta variables",
                  lambda n, m, i: i * (m + 1) / (n + 1)),
     # x = -log(1 - r) = log(1 + e^s), finite also where r rounds to 1
     _R.EXPONENTIAL: (lambda s: math.log1p(math.exp(s)), "in the exponential frame",

@@ -192,6 +192,18 @@ def test_data_interval_infeasible_exit_two(data_dir, capsys):
     assert "infeasible" in captured.err
 
 
+@pytest.mark.parametrize("lower, upper, named", [
+    ("ID", "IHR", "ID"), ("DD", "DD", "DD"), ("DDA", "IHR", "DDA"),
+], ids=["lower-ID", "upper-DD", "lower-DDA"])
+def test_data_interval_wrong_side_class_is_usage_error(lower, upper, named, data_dir, capsys):
+    rc = main(["data-interval", "--data", str(data_dir / "carbon_fibers.csv"),
+               "--spec", "2,5", "--lower-class", lower, "--upper-class", upper])
+    captured = capsys.readouterr()
+    assert rc == 64
+    assert captured.out == ""
+    assert f"{named}: " in captured.err and "side class" in captured.err
+
+
 def test_data_interval_missing_file(tmp_path, capsys):
     rc = main(["data-interval", "--data", str(tmp_path / "nope.csv"),
                "--spec", "3,10", "--lower-class", "DD", "--upper-class", "IHR"])

@@ -1,7 +1,6 @@
-"""Reference distributions: cdf values and order-statistic moments."""
+"""Reference distributions: supports, specs and order-statistic moments."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from stochord.oracle import _ref_cdf
 from stochord.refdist import (
     OrderStatSpec,
     ReferenceDistribution,
-    SupportClampWarning,
-    cdf,
     expected_transformed_orderstat,
 )
 
@@ -55,24 +53,9 @@ def test_spec_rejects_non_integer_ranks():
 @pytest.mark.parametrize("dist", ALL_DISTS)
 @given(p=st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 def test_quantile_cdf_roundtrip(dist, p):
-    """cdf inverts this file's G^{-1}, which the moment quadrature below uses."""
-    assert cdf(dist, float(_quantile_arr(dist, p))) == pytest.approx(p, abs=1e-12)
-
-
-def test_cdf_clamps_outside_support_with_warning():
-    with pytest.warns(SupportClampWarning):
-        assert cdf(ReferenceDistribution.EXPONENTIAL, -0.5) == 0.0
-    with pytest.warns(SupportClampWarning):
-        assert cdf(ReferenceDistribution.UNIFORM, 1.5) == 1.0
-    with pytest.warns(SupportClampWarning):
-        assert cdf(ReferenceDistribution.NEG_EXPONENTIAL, 0.5) == 1.0
-
-
-def test_cdf_inside_support_does_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cdf(ReferenceDistribution.EXPONENTIAL, 0.7)
-        cdf(ReferenceDistribution.LOGISTIC, -3.0)
+    """The oracle's G inverts this file's G^{-1}, which the moment quadrature
+    below uses."""
+    assert _ref_cdf(dist, float(_quantile_arr(dist, p))) == pytest.approx(p, abs=1e-12)
 
 
 def test_moment_closed_forms():
